@@ -38,10 +38,10 @@ def run_synth(args: argparse.Namespace) -> int:
     target = serialize.state_from_dict(
         serialize.load_json(args.target), spec.n_levels
     )
+    if args.winding_bound is not None:
+        print("note: --winding-bound is deprecated and ignored", file=sys.stderr)
     options = SynthesisOptions(
-        field_ratio=args.ratio,
-        winding_bound=args.winding_bound,
-        zero_threshold=args.zero_threshold,
+        field_ratio=args.ratio, zero_threshold=args.zero_threshold
     )
     try:
         report = synthesize(spec, target, options)
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--out")
     p.add_argument("--ratio", type=float, default=100.0)
-    p.add_argument("--winding-bound", type=int, default=8)
+    p.add_argument("--winding-bound", type=int, help="deprecated; ignored")
     p.add_argument("--zero-threshold", type=float, default=1e-10)
     p.set_defaults(func=run_synth)
 

@@ -42,11 +42,17 @@ class InfeasibleMagnitudes(ControlError):
 
 
 class SingularPhaseSystem(ControlError):
-    """Phase-matching linear system is rank deficient."""
+    """Phase-matching linear system is rank deficient.
+
+    No longer raised: the free-time congruences are always solvable.
+    """
 
 
 class WindingBoundExceeded(ControlError):
-    """No nonnegative free-time solution within the winding bound."""
+    """No nonnegative free-time solution within the winding bound.
+
+    No longer raised: free times are solved exactly without a bound.
+    """
 
 
 class NotSkewHermitian(ControlError):

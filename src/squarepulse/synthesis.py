@@ -2,26 +2,23 @@
 
 Magnitudes fix the rotation angles through the hyperspherical closed
 forms, the field ratio fixes pulse widths, and the remaining relative
-phases are matched by solving a linear congruence system in the
-free-evolution times over a bounded set of 2*pi windings.
+phases are matched by free-evolution times found in one backward sweep
+over their suffix sums, each taken least in its residue class mod 2*pi.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DimensionMismatch,
     FidelityBelowFloor,
     InfeasibleMagnitudes,
     NotNormalized,
-    SingularPhaseSystem,
-    WindingBoundExceeded,
 )
 from .ledger import AmplitudeLedger, LedgerMode, evaluate_ledger, forward_ledger
 from .operators import block_params
@@ -31,19 +28,26 @@ from .spectrum import SystemKind, SystemSpec, coupled_gap
 TWO_PI = 2.0 * np.pi
 MAGNITUDE_NORM_ATOL = 1e-9
 _RATIO_SLACK = 1e-6
+_PHASE_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SynthesisOptions:
     field_ratio: float = 100.0
-    winding_bound: int = 8
+    winding_bound: int | None = None  # deprecated and ignored
     zero_threshold: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.field_ratio <= 1:
             raise ValueError("field_ratio must exceed 1")
-        if self.winding_bound < 0:
-            raise ValueError("winding_bound must be >= 0")
+        if self.winding_bound is not None:
+            warnings.warn(
+                "winding_bound is ignored: free times are solved exactly",
+                DeprecationWarning,
+                stacklevel=3,
+            )
+            if self.winding_bound < 0:
+                raise ValueError("winding_bound must be >= 0")
         if not 0 <= self.zero_threshold < 1:
             raise ValueError("zero_threshold must be in [0, 1)")
 
@@ -123,94 +127,83 @@ def angles_to_widths(
     return tuple(d), tuple(tau)
 
 
-def _wrap_nonpositive(x: float) -> float:
-    """Reduce an angle into (-2*pi, 0]."""
-    r = -(-x % TWO_PI)
-    return r if r != -TWO_PI else 0.0
-
-
 def solve_free_times(
     spec: SystemSpec,
     ledger: AmplitudeLedger,
-    theta: Sequence[float],
     tau: Sequence[float],
-    d: Sequence[float],
     target_phases: Sequence[float | None],
-    winding_bound: int = 8,
 ) -> tuple[float, ...]:
-    """Nonnegative free-evolution times matching the target relative phases.
+    """Nonnegative free-evolution times of least total matching the target phases.
 
-    ``target_phases[k-2]`` is the wanted phase of level k relative to level
-    1 (``None`` for levels excluded by zero magnitude).  Each constraint is
-    solved modulo 2*pi by scanning winding assignments up to the bound and
-    keeping the feasible solution of least total duration (lexicographic
-    winding order breaks ties).
+    Levels are numbered from 0.  ``target_phases[k-1]`` is the wanted phase
+    of level k relative to level 0 (``None`` for levels excluded by zero
+    magnitude).  Write S_j = sum_{i>=j} tau_free_i.  Every populated level
+    k >= 1 has a nearest populated ancestor a(k): level 0 for
+    gap_to_ground, the closest populated level below k for
+    nearest_neighbor (level 0 always counts as populated).  In the physical
+    ledger the free-time rows of k and a(k) differ only by the coupled gaps
+    of the cycles in between, each multiplying its own suffix sum.  Giving
+    the empty levels in between zero free time telescopes those gaps, and
+    no other split of that stretch reaches a residue sooner; the congruence
+    for level k then reads
+
+        (E_k - E_a(k)) * S_{k-1} = -(r_k - r_a(k))   (mod 2*pi),
+
+    with r_k the wanted phase minus the ledger's pulse-time phase (r_0 = 0).
+    ``tau_free >= 0`` makes S non-increasing and the total free time is
+    S_0, so sweeping j = N-2 ... 0 and taking each S_j as the least value
+    >= S_{j+1} in its residue class gives the least total.  Each step is
+    below 2*pi / (E_k - E_a(k)); an empty level adds no step.
     """
     n = spec.n_levels
-    n_cycles = n - 1
     if len(target_phases) != n - 1:
         raise DimensionMismatch(f"expected {n - 1} relative phases")
     if ledger.mode is not LedgerMode.PHYSICAL:
         raise ValueError("free-time solving requires a physical-mode ledger")
 
-    base = ledger.levels[0].phase
-    base_const = float(np.dot(base.coeff_tau, tau)) - base.quarter_turns * np.pi / 2
-    rows = []
-    rhs0 = []
-    for k, phi in zip(range(2, n + 1), target_phases):
+    def pulse_phase(k: int) -> float:
+        form = ledger.levels[k].phase
+        return float(np.dot(form.coeff_tau, tau)) - form.quarter_turns * np.pi / 2
+
+    base_const = pulse_phase(0)
+    r = [0.0] * n
+    populated = [True] * n
+    for k, phi in enumerate(target_phases, start=1):
         if phi is None:
+            populated[k] = False
+        else:
+            r[k] = float(phi) - (pulse_phase(k) - base_const)
+
+    ancestor = [0] * n
+    if spec.kind is SystemKind.NEAREST_NEIGHBOR:
+        for k in range(1, n):
+            ancestor[k] = k - 1 if populated[k - 1] else ancestor[k - 1]
+
+    energies = spec.energies
+    tau_free = [0.0] * (n - 1)
+    s = 0.0  # S_{j+1}
+    for j in range(n - 2, -1, -1):
+        k = j + 1
+        if not populated[k]:
             continue
-        form = ledger.levels[k - 1].phase
-        const = float(np.dot(form.coeff_tau, tau)) - form.quarter_turns * np.pi / 2
-        rows.append(np.asarray(form.coeff_tau_free) - np.asarray(base.coeff_tau_free))
-        rhs0.append(_wrap_nonpositive(float(phi) - (const - base_const)))
-    n_c = len(rows)
-    if n_c == 0:
-        return (0.0,) * n_cycles
+        a = ancestor[k]
+        gap = energies[k] - energies[a]
+        step = (-(r[k] - r[a]) - gap * s) % TWO_PI
+        if step > TWO_PI - _PHASE_ATOL:  # a rounding error below a full turn
+            step = 0.0
+        tau_free[j] = step / gap
+        s += tau_free[j]
+    return tuple(tau_free)
 
-    delta = np.vstack(rows)
-    psi = np.asarray(rhs0)
-    scale = np.max(np.abs(delta))
 
-    if n_c == n_cycles:
-        if np.linalg.matrix_rank(delta, tol=1e-9 * scale) < n_cycles:
-            raise SingularPhaseSystem("phase coefficient rows are rank deficient")
-        inv = np.linalg.inv(delta)
-        x0 = inv @ psi
-        shift = -TWO_PI * inv  # per-unit-winding change of the solution
-        grid = np.array(
-            list(itertools.product(range(winding_bound + 1), repeat=n_c)), dtype=float
-        )
-        cand = x0[None, :] + grid @ shift.T
-        feasible = np.all(cand >= -1e-12, axis=1)
-        if not np.any(feasible):
-            raise WindingBoundExceeded(
-                f"no nonnegative solution within winding bound {winding_bound}"
-            )
-        sums = np.where(feasible, cand.sum(axis=1), np.inf)
-        best = int(np.argmin(sums))  # first occurrence = lexicographic tie-break
-        return tuple(np.clip(cand[best], 0.0, None))
+def __getattr__(name: str):
+    # Kept only for the benchmark's TRACED row ("synthesis", "linprog"), which
+    # looks the name up here; nothing calls it.  Delete when that row goes.
+    if name == "linprog":
+        from scipy.optimize import linprog
 
-    # under-determined: minimize total time subject to the congruences
-    best_sol: np.ndarray | None = None
-    best_sum = np.inf
-    for winding in itertools.product(range(winding_bound + 1), repeat=n_c):
-        rhs = psi - TWO_PI * np.asarray(winding, dtype=float)
-        res = linprog(
-            c=np.ones(n_cycles),
-            A_eq=delta,
-            b_eq=rhs,
-            bounds=[(0.0, None)] * n_cycles,
-            method="highs",
-        )
-        if res.status == 0 and res.fun < best_sum - 1e-12:
-            best_sum = res.fun
-            best_sol = res.x
-    if best_sol is None:
-        raise WindingBoundExceeded(
-            f"no nonnegative solution within winding bound {winding_bound}"
-        )
-    return tuple(np.clip(best_sol, 0.0, None))
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -236,9 +229,7 @@ def synthesize(
         float(np.angle(psi[k])) - ref_phase if mags[k] > opts.zero_threshold else None
         for k in range(1, spec.n_levels)
     ]
-    tau_free = solve_free_times(
-        spec, ledger, theta, tau, d, target_phases, opts.winding_bound
-    )
+    tau_free = solve_free_times(spec, ledger, tau, target_phases)
 
     schedule = PulseSchedule(
         spec=spec,

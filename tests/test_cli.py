@@ -216,3 +216,15 @@ def test_float_serialization_round_trips():
     for v in values:
         assert float(serialize.format_float(v)) == v
     assert serialize.dumps({"b": 1.5, "a": True}) == '{"a":true,"b":1.5}'
+
+
+def test_synth_winding_bound_flag_is_ignored(tmp_path, capsys):
+    spec = write(tmp_path, "spec.json", SPEC_I4)
+    target = write(tmp_path, "target.json", uniform_target(4))
+    plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+    args = ["synth", "--spec", spec, "--target", target, "--out"]
+    assert main(args + [str(plain)]) == 0
+    assert "deprecated" not in capsys.readouterr().err
+    assert main(args + [str(flagged), "--winding-bound", "0"]) == 0
+    assert "--winding-bound is deprecated and ignored" in capsys.readouterr().err
+    assert plain.read_bytes() == flagged.read_bytes()
