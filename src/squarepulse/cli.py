@@ -40,9 +40,13 @@ def run_synth(args: argparse.Namespace) -> int:
     )
     if args.winding_bound is not None:
         print("note: --winding-bound is deprecated and ignored", file=sys.stderr)
-    options = SynthesisOptions(
-        field_ratio=args.ratio, zero_threshold=args.zero_threshold
-    )
+    try:
+        options = SynthesisOptions(
+            field_ratio=args.ratio, zero_threshold=args.zero_threshold
+        )
+    except ValueError as exc:
+        flag = "--ratio" if "field_ratio" in str(exc) else "--zero-threshold"
+        raise InputError(f"flag '{flag}': {exc}") from exc
     try:
         report = synthesize(spec, target, options)
     except FidelityBelowFloor as exc:
@@ -60,6 +64,8 @@ def run_synth(args: argparse.Namespace) -> int:
 def run_simulate(args: argparse.Namespace) -> int:
     spec = serialize.spec_from_dict(serialize.load_json(args.spec))
     schedule = serialize.schedule_from_dict(serialize.load_json(args.schedule), spec)
+    if args.samples < 0:
+        raise InputError("flag '--samples' must be >= 0")
     initial = None
     if args.initial:
         initial = serialize.state_from_dict(
@@ -77,6 +83,8 @@ def run_simulate(args: argparse.Namespace) -> int:
 
 
 def run_check(args: argparse.Namespace) -> int:
+    if not args.tolerance > 0:
+        raise InputError("flag '--tolerance' must be > 0")
     spec = serialize.spec_from_dict(serialize.load_json(args.spec))
     gens = system_generators(spec, recentered=True)
     if args.generators:

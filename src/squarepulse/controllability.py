@@ -74,8 +74,10 @@ def lie_closure(
 
     The basis is orthonormal under Re tr(A^dag B) and grown in a fixed
     insertion order, so the output is deterministic; the dimension itself
-    is independent of generator order.
+    is independent of generator order.  ``tol`` must be > 0.
     """
+    if not tol > 0:  # NaN-safe; tol <= 0 would normalize zero vectors to NaN
+        raise ValueError(f"tol must be > 0, got {tol}")
     gens = _check_skew(generators)
     n = gens[0].shape[0]
     traceless = all(abs(np.trace(g)) <= 1e-12 * max(1.0, np.max(np.abs(g))) for g in gens)

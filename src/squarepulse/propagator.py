@@ -1,13 +1,19 @@
 """Exact evolution under piecewise-constant Hamiltonians.
 
-The pulse propagator is a closed-form two-level rotation on the coupled
-pair combined with pure phases on spectator levels; `matrix_exp_oracle`
-is an independent eigendecomposition-based check.
+A pulse cycle rotates one coupled pair of levels and free flight only adds
+diagonal phases, so `simulate` advances a state in O(N) per segment: one
+private kernel applies the closed-form 2x2 Rabi block to the pair and pure
+phases to every other level.  `pulse_propagator` and `free_propagator` are
+dense N x N views kept for inspection and tests; `matrix_exp_oracle` is an
+independent eigendecomposition-based check.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -101,40 +107,39 @@ def free_propagator(spec: SystemSpec, t: float) -> np.ndarray:
 def pulse_propagator(spec: SystemSpec, m: int, d: float, t: float) -> np.ndarray:
     """Closed-form propagator of drift + d * coupling(m) for time ``t``.
 
-    The coupled pair undergoes an exact Rabi rotation carrying the pair's
-    mean-energy phase; every spectator level n acquires exp(-i E_n t).
+    A dense view of the kernel that `simulate` runs, kept for inspection
+    and tests: the kernel applied to the identity's rows, transposed.
     """
     if t < 0:
         raise NegativeDuration(f"negative pulse duration {t}")
-    lo, hi = spec.coupled_levels(m)
-    p = block_params(spec, m, d)
-    u = np.diag(np.exp(-1j * np.asarray(spec.energies) * t)).astype(complex)
+    return _advance(spec, PulseCycle(m, d, t, 0.0), np.eye(spec.n_levels), t).T
 
-    c, s = np.cos(p.rabi * t), np.sin(p.rabi * t)
+
+def _advance(spec: SystemSpec, cycle: PulseCycle, psi: np.ndarray, t: float) -> np.ndarray:
+    """States ``psi`` of shape (..., N) advanced by ``t`` from the start of ``cycle``.
+
+    Level n gets exp(-i E_n t_pulse), t_pulse = min(t, tau); the pair (lo, hi)
+    then gets the exact Rabi rotation with the pair's mean-energy phase, and
+    free flight adds exp(-i E_n (t - tau)) once t > tau.  O(N) per state; no
+    N x N array and no BLAS call.
+    """
+    energies = np.asarray(spec.energies)
+    t_pulse = min(t, cycle.tau)
+    out = psi * np.exp(-1j * energies * t_pulse)
+
+    lo, hi = spec.coupled_levels(cycle.m)
+    p = block_params(spec, cycle.m, cycle.d)
+    c, s = math.cos(p.rabi * t_pulse), math.sin(p.rabi * t_pulse)
     # 2x2 block in the (lo, hi) basis, higher level as +z
-    half_gap = 0.5 * p.gap
-    block = np.array(
-        [
-            [c + 1j * s * half_gap / p.rabi, -1j * s * d / p.rabi],
-            [-1j * s * d / p.rabi, c - 1j * s * half_gap / p.rabi],
-        ],
-        dtype=complex,
-    ) * np.exp(-1j * p.mean_energy * t)
-    u[lo, lo] = block[0, 0]
-    u[lo, hi] = block[0, 1]
-    u[hi, lo] = block[1, 0]
-    u[hi, hi] = block[1, 1]
-    return u
-
-
-def _state_within_cycle(
-    spec: SystemSpec, cycle: PulseCycle, start: np.ndarray, offset: float
-) -> np.ndarray:
-    """State at time ``offset`` into a cycle that began in state ``start``."""
-    if offset <= cycle.tau:
-        return pulse_propagator(spec, cycle.m, cycle.d, offset) @ start
-    after_pulse = pulse_propagator(spec, cycle.m, cycle.d, cycle.tau) @ start
-    return free_propagator(spec, offset - cycle.tau) @ after_pulse
+    tilt = 1j * s * (0.5 * p.gap) / p.rabi
+    flip = -1j * s * cycle.d / p.rabi
+    phase = cmath.exp(-1j * p.mean_energy * t_pulse)
+    a, b = psi.take(lo, axis=-1), psi.take(hi, axis=-1)  # scalars, not 0-d arrays
+    out[..., lo] = phase * ((c + tilt) * a + flip * b)
+    out[..., hi] = phase * (flip * a + (c - tilt) * b)
+    if t > cycle.tau:
+        out *= np.exp(-1j * energies * (t - cycle.tau))
+    return out
 
 
 def simulate(
@@ -146,13 +151,15 @@ def simulate(
 
     ``samples_per_segment`` intermediate states are recorded uniformly
     within each cycle, plus each cycle's endpoint and the initial state.
+    Samples and endpoint each take one kernel call from the state at the
+    cycle's start.  Where zero-duration segments repeat a time, the
+    trajectory keeps the last state at that time.
     """
+    if samples_per_segment < 0:
+        raise ValueError(f"samples_per_segment must be >= 0, got {samples_per_segment}")
     spec = schedule.spec
-    psi = (
-        ground_state(spec.n_levels)
-        if initial is None
-        else validate_state(initial, spec.n_levels)
-    )
+    n = spec.n_levels
+    psi = ground_state(n) if initial is None else validate_state(initial, n)
     times = [0.0]
     states = [psi.copy()]
     t0 = 0.0
@@ -161,22 +168,12 @@ def simulate(
         for k in range(1, samples_per_segment + 1):
             offset = duration * k / (samples_per_segment + 1)
             times.append(t0 + offset)
-            states.append(_state_within_cycle(spec, cycle, psi, offset))
-        psi = free_propagator(spec, cycle.tau_free) @ (
-            pulse_propagator(spec, cycle.m, cycle.d, cycle.tau) @ psi
-        )
+            states.append(_advance(spec, cycle, psi, offset))
+        psi = _advance(spec, cycle, psi, duration)
         t0 += duration
         times.append(t0)
         states.append(psi.copy())
-    # guard strict monotonicity against zero-duration segments
-    eps_times: list[float] = []
-    keep: list[int] = []
-    for i, t in enumerate(times):
-        if not eps_times or t > eps_times[-1]:
-            eps_times.append(t)
-            keep.append(i)
-        else:
-            eps_times[-1] = t
-            keep[-1] = i
-    traj = Trajectory(tuple(eps_times), tuple(states[i] for i in keep))
+    # zero-duration segments repeat a time; keep the last state at each time
+    keep = [a < b for a, b in zip(times, times[1:])] + [True]
+    traj = Trajectory(tuple(compress(times, keep)), tuple(compress(states, keep)))
     return psi, traj

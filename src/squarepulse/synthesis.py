@@ -38,8 +38,8 @@ class SynthesisOptions:
     zero_threshold: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.field_ratio <= 1:
-            raise ValueError("field_ratio must exceed 1")
+        if not 1 < self.field_ratio < np.inf:
+            raise ValueError("field_ratio must be finite and exceed 1")
         if self.winding_bound is not None:
             warnings.warn(
                 "winding_bound is ignored: free times are solved exactly",

@@ -228,3 +228,40 @@ def test_synth_winding_bound_flag_is_ignored(tmp_path, capsys):
     assert main(args + [str(flagged), "--winding-bound", "0"]) == 0
     assert "--winding-bound is deprecated and ignored" in capsys.readouterr().err
     assert plain.read_bytes() == flagged.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--ratio", "0.5"), ("--ratio", "nan"), ("--zero-threshold", "2")],
+)
+def test_synth_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
+    spec = write(tmp_path, "spec.json", SPEC_II3)
+    target = write(tmp_path, "target.json", uniform_target(3))
+    assert main(["synth", "--spec", spec, "--target", target, flag, value]) == 1
+    assert f"error: flag '{flag}'" in capsys.readouterr().err
+
+
+def test_simulate_rejects_negative_samples(tmp_path, capsys):
+    spec = write(tmp_path, "spec.json", SPEC_II3)
+    sched = write(
+        tmp_path,
+        "sched.json",
+        {
+            "cycles": [
+                {"m": 1, "d": 5.0, "tau": 0.2, "tau_free": 0.3},
+                {"m": 2, "d": 5.0, "tau": 0.1, "tau_free": 0.4},
+            ]
+        },
+    )
+    assert main(["simulate", "--spec", spec, "--schedule", sched, "--samples", "-3"]) == 1
+    assert "error: flag '--samples'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0"])
+def test_check_rejects_nonpositive_tolerance(tmp_path, capsys, tol):
+    # the starved 3-level set of acceptance criterion 7 must never read as controllable
+    spec = write(tmp_path, "spec.json", SPEC_II3)
+    assert main(["check", "--spec", spec, "--generators", "1", "--tolerance", tol]) == 1
+    captured = capsys.readouterr()
+    assert "error: flag '--tolerance'" in captured.err
+    assert captured.out == ""

@@ -102,6 +102,15 @@ def test_rejects_non_skew_input():
         lie_closure([np.array([[0, 1], [1, 0]], dtype=complex)])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_rejects_nonpositive_tolerance(tol):
+    # with tol <= 0 zero vectors were normalized to NaN and counted as new
+    # directions, so a starved generator set read as fully controllable
+    gens = system_generators(spec_for(SystemKind.NEAREST_NEIGHBOR, 3))[:2]
+    with pytest.raises(ValueError, match="tol"):
+        lie_closure(gens, tol=tol)
+
+
 def test_witness_nearest_neighbor_uses_generators_directly():
     spec = spec_for(SystemKind.NEAREST_NEIGHBOR, 4)
     recipes = chevalley_witness(spec)

@@ -13,9 +13,11 @@ from squarepulse import (
     matrix_exp_oracle,
     pulse_propagator,
     simulate,
+    synthesize,
     validate_spectrum,
     validate_state,
 )
+from squarepulse import propagator
 from squarepulse.errors import DimensionMismatch, NegativeDuration, NotNormalized
 
 from conftest import gap_to_ground_spec, nearest_neighbor_spec, spec_for
@@ -203,3 +205,111 @@ def test_norm_preserved_for_random_schedules(n, kind, data):
     sched = make_schedule(spec, params)
     final, _ = simulate(sched)
     assert abs(np.linalg.norm(final) - 1.0) <= 1e-12
+
+
+def oracle_trajectory(sched, samples):
+    """Last state at each sampled time, by eigh steps and diagonal free phases."""
+    spec = sched.spec
+    energies = np.asarray(spec.energies)
+    h0 = drift_hamiltonian(spec)
+    psi = ground_state(spec.n_levels)
+    by_time = {0.0: psi}
+    t0 = 0.0
+    for cyc in sched.cycles:
+        h = h0 + cyc.d * coupling_operator(spec, cyc.m)
+        duration = cyc.tau + cyc.tau_free
+        after_pulse = matrix_exp_oracle(h, cyc.tau) @ psi
+        for k in range(1, samples + 1):
+            offset = duration * k / (samples + 1)
+            if offset <= cyc.tau:
+                state = matrix_exp_oracle(h, offset) @ psi
+            else:
+                state = np.exp(-1j * energies * (offset - cyc.tau)) * after_pulse
+            by_time[t0 + offset] = state
+        psi = np.exp(-1j * energies * cyc.tau_free) * after_pulse
+        t0 += duration
+        by_time[t0] = psi
+    return by_time
+
+
+def assert_trajectory_matches_oracle(sched, samples):
+    final, traj = simulate(sched, samples_per_segment=samples)
+    want = oracle_trajectory(sched, samples)
+    assert list(traj.times) == sorted(want)
+    for t, psi in zip(traj.times, traj.states):
+        assert np.max(np.abs(psi - want[t])) <= 1e-10
+    assert np.max(np.abs(final - want[traj.times[-1]])) <= 1e-10
+
+
+durations = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=8),
+    kind=st.sampled_from(list(SystemKind)),
+    samples=st.integers(min_value=0, max_value=5),
+    data=st.data(),
+)
+def test_trajectory_states_match_oracle_chain(n, kind, samples, data):
+    fields = st.floats(min_value=0.1, max_value=30.0)
+    params = [
+        (data.draw(fields), data.draw(durations), data.draw(durations)) for _ in range(n - 1)
+    ]
+    assert_trajectory_matches_oracle(make_schedule(spec_for(kind, n), params), samples)
+
+
+@pytest.mark.parametrize("kind", list(SystemKind))
+def test_trajectory_states_match_oracle_chain_n40(kind):
+    rng = np.random.default_rng(40)
+    params = [(rng.uniform(1, 30), rng.uniform(0, 0.2), rng.uniform(0, 1)) for _ in range(39)]
+    assert_trajectory_matches_oracle(make_schedule(spec_for(kind, 40), params), 3)
+
+
+def test_trajectory_keeps_last_state_at_repeated_times():
+    # cycle 1 has no free flight, cycle 2 no duration at all, cycle 3 no pulse,
+    # as synthesis produces for empty levels
+    spec = gap_to_ground_spec(4)
+    sched = make_schedule(spec, [(5.0, 0.3, 0.0), (5.0, 0.0, 0.0), (5.0, 0.0, 0.4)])
+    samples = 3
+    final, traj = simulate(sched, samples_per_segment=samples)
+    assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
+    # cycle 2's samples and endpoint all fall on cycle 1's endpoint
+    assert len(traj.times) == 1 + 2 * (samples + 1)
+    want = oracle_trajectory(sched, samples)
+    for t, psi in zip(traj.times, traj.states):
+        assert np.max(np.abs(psi - want[t])) <= 1e-12
+    assert np.array_equal(traj.states[-1], final)
+
+
+def test_trajectory_keeps_last_state_when_a_pulse_rounds_away():
+    # cycle 2 is shorter than half an ulp of the running time, so its samples
+    # and endpoint repeat t = 100 while its strong pulse still moves the state
+    spec = gap_to_ground_spec(3)
+    sched = make_schedule(spec, [(1.0, 100.0, 0.0), (1e7, 5e-15, 0.0)])
+    final, traj = simulate(sched, samples_per_segment=2)
+    assert traj.times[-1] == 100.0 and len(traj.times) == 1 + 3
+    before = oracle_trajectory(make_schedule(spec, [(1.0, 100.0, 0.0), (1e7, 0.0, 0.0)]), 2)
+    assert np.max(np.abs(final - before[100.0])) > 1e-9
+    assert np.max(np.abs(traj.states[-1] - final)) == 0
+
+
+def test_simulate_rejects_negative_samples():
+    sched = make_schedule(gap_to_ground_spec(3), [(1.0, 0.1, 0.1)] * 2)
+    with pytest.raises(ValueError, match="samples_per_segment"):
+        simulate(sched, samples_per_segment=-3)
+
+
+def test_simulate_and_synthesize_build_no_dense_propagator(monkeypatch, rng):
+    def dense(*args):
+        raise AssertionError("dense propagator built")
+
+    monkeypatch.setattr(propagator, "pulse_propagator", dense)
+    monkeypatch.setattr(propagator, "free_propagator", dense)
+    for kind in SystemKind:
+        spec = spec_for(kind, 6)
+        target = rng.normal(size=6) + 1j * rng.normal(size=6)
+        report = synthesize(spec, target / np.linalg.norm(target))
+        final, traj = simulate(report.schedule, samples_per_segment=4)
+        assert np.max(np.abs(final - report.simulated)) <= 1e-12
+        assert len(traj.times) == 1 + 5 * 5

@@ -236,8 +236,10 @@ def test_predicted_matches_target_up_to_global_phase(rng):
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        SynthesisOptions(field_ratio=0.5)
+    # a NaN or infinite ratio used to yield a NaN schedule reported as success
+    for ratio in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SynthesisOptions(field_ratio=ratio)
     with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
         SynthesisOptions(winding_bound=-1)
     with pytest.raises(ValueError):
