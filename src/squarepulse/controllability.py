@@ -1,7 +1,10 @@
 """Lie-algebraic controllability: closure computation and basis witness.
 
 The closure of {i*H_drift, i*H_couplings} is grown by iterated
-commutators with Gram-Schmidt independence tests; a constructive witness
+commutators.  Its orthonormal basis lives as flattened real rows of one
+preallocated array: each sweep forms all its commutators in one batched
+product, and each candidate's independence test is a two-pass projection,
+two matrix-vector products against the basis rows.  A constructive witness
 builds the adjacent-pair su(N) generators from explicit nested brackets.
 """
 
@@ -46,23 +49,37 @@ def _check_skew(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     dim = None
     for i, g in enumerate(mats):
         a = np.asarray(g, dtype=complex)
-        if np.max(np.abs(a + a.conj().T)) > SKEW_ATOL:
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise NotSkewHermitian(f"generator {i} is not a non-empty square matrix")
+        # a NaN residual fails `<=`; checking finiteness first also keeps
+        # inf - inf from raising numpy's invalid-value warning
+        if not (np.all(np.isfinite(a)) and np.max(np.abs(a + a.conj().T)) <= SKEW_ATOL):
             raise NotSkewHermitian(f"generator {i} is not skew-Hermitian to {SKEW_ATOL}")
         if dim is None:
             dim = a.shape[0]
         elif a.shape != (dim, dim):
             raise NotSkewHermitian("generators have mismatched dimensions")
         out.append(a)
+    if not out:
+        raise ValueError("no generators")
     return out
 
 
-def _flatten(mat: np.ndarray) -> np.ndarray:
-    return np.concatenate([mat.real.ravel(), mat.imag.ravel()])
+def _flatten(mats: np.ndarray) -> np.ndarray:
+    """Real rows [Re | Im] of shape (..., 2n^2) for matrices of shape (..., n, n)."""
+    lead = mats.shape[:-2]
+    return np.concatenate(
+        [mats.real.reshape(*lead, -1), mats.imag.reshape(*lead, -1)], axis=-1
+    )
 
 
-def _unflatten(vec: np.ndarray, n: int) -> np.ndarray:
+def _unflatten(vecs: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of ``_flatten``: (..., 2n^2) real rows to (..., n, n) matrices."""
     half = n * n
-    return vec[:half].reshape(n, n) + 1j * vec[half:].reshape(n, n)
+    lead = vecs.shape[:-1]
+    return vecs[..., :half].reshape(*lead, n, n) + 1j * vecs[..., half:].reshape(
+        *lead, n, n
+    )
 
 
 def lie_closure(
@@ -75,6 +92,15 @@ def lie_closure(
     The basis is orthonormal under Re tr(A^dag B) and grown in a fixed
     insertion order, so the output is deterministic; the dimension itself
     is independent of generator order.  ``tol`` must be > 0.
+
+    The generators are tried first, then sweep ``k`` tries the brackets
+    [b_k, b_j] for every j below the basis size at the sweep's start, in
+    order of j.  A candidate joins the basis when its norm exceeds ``tol``
+    and its residual after projection onto the basis exceeds ``tol`` times
+    that norm.  The projection is classical Gram-Schmidt run twice, two
+    matrix-vector products against the basis rows each, which keeps the
+    basis orthogonal to rounding ("twice is enough": Giraud, Langou,
+    Rozloznik and van den Eshof, Numer. Math. 101, 87 (2005)).
     """
     if not tol > 0:  # NaN-safe; tol <= 0 would normalize zero vectors to NaN
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -83,50 +109,47 @@ def lie_closure(
     traceless = all(abs(np.trace(g)) <= 1e-12 * max(1.0, np.max(np.abs(g))) for g in gens)
     max_dim = n * n - 1 if traceless else n * n
 
-    basis_vecs: list[np.ndarray] = []
-    basis_mats: list[np.ndarray] = []
+    # Orthonormal basis in rows [:len(depths)].  Skew-Hermitian matrices span
+    # n^2 real dimensions, but generators are skew only to SKEW_ATOL, so with
+    # a tiny tol their Hermitian residue can add rows up to the full 2n^2.
+    q = np.empty((2 * n * n, 2 * n * n))
     depths: list[int] = []
 
-    def try_add(mat: np.ndarray, depth: int) -> bool:
-        v = _flatten(mat)
+    def try_add(v: np.ndarray, depth: int) -> None:
         norm0 = np.linalg.norm(v)
         if norm0 <= tol:
-            return False
-        for _ in range(2):  # re-orthogonalization pass
-            for b in basis_vecs:
-                v = v - np.dot(b, v) * b
-        if np.linalg.norm(v) <= tol * norm0:
-            return False
-        v = v / np.linalg.norm(v)
-        basis_vecs.append(v)
-        basis_mats.append(_unflatten(v, n))
+            return
+        basis = q[: len(depths)]
+        for _ in range(2):
+            v = v - (basis @ v) @ basis
+        norm = np.linalg.norm(v)
+        if norm <= tol * norm0:
+            return
+        q[len(depths)] = v / norm
         depths.append(depth)
-        return True
 
     for g in gens:
-        try_add(g, 0)
+        try_add(_flatten(g), 0)
 
     k = 0
-    while k < len(basis_mats) and len(basis_mats) < max_dim:
+    while k < len(depths) and len(depths) < max_dim:
         if k >= max_iter:
             raise MaxIterExceeded(f"closure did not settle within {max_iter} sweeps")
-        a = basis_mats[k]
-        for j in range(len(basis_mats)):
-            if len(basis_mats) >= max_dim:
+        mats = _unflatten(q[: len(depths)], n)  # this sweep's candidates, fixed now
+        comms = _flatten(mats[k] @ mats - mats @ mats[k])
+        for j, comm in enumerate(comms):
+            if len(depths) >= max_dim:
                 break
-            comm = a @ basis_mats[j] - basis_mats[j] @ a
             try_add(comm, max(depths[k], depths[j]) + 1)
         k += 1
 
+    dimension = len(depths)
     identity_dir = _flatten(1j * np.eye(n) / np.sqrt(n))
-    coeffs = np.array([np.dot(b, identity_dir) for b in basis_vecs])
-    contains_identity = bool(np.linalg.norm(coeffs) > 0.5)
-
-    dimension = len(basis_mats)
+    contains_identity = bool(np.linalg.norm(q[:dimension] @ identity_dir) > 0.5)
     effective = dimension - (1 if contains_identity else 0)
     return LieClosureResult(
         dimension=dimension,
-        basis=tuple(basis_mats),
+        basis=tuple(_unflatten(v, n) for v in q[:dimension]),
         fully_controllable=effective == n * n - 1,
         bracket_depth=max(depths, default=0),
         contains_identity=contains_identity,

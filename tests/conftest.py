@@ -26,6 +26,12 @@ def spec_for(kind, n, centered=False):
     return nearest_neighbor_spec(n, centered)
 
 
+def random_unitary(rng, n):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def random_target(rng, n):
     probs = rng.dirichlet(np.ones(n))
     phases = rng.uniform(0.0, 2.0 * np.pi, n)

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from squarepulse import serialize
+from squarepulse import SystemKind, serialize, system_generators
 from squarepulse.cli import main
+
+from conftest import spec_for
+from test_closure_oracle import oracle_lie_closure
 
 SPEC_II3 = {"energies": [0.0, 1.0, 3.0], "kind": "nearest_neighbor"}
 SPEC_I4 = {"energies": [0.0, 2.0, 3.0, 4.0], "kind": "gap_to_ground"}
@@ -265,3 +268,26 @@ def test_check_rejects_nonpositive_tolerance(tmp_path, capsys, tol):
     captured = capsys.readouterr()
     assert "error: flag '--tolerance'" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", list(SystemKind))
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("subset", [None, "odd", "tail"])
+def test_check_stdout_matches_oracle_closure(tmp_path, capsys, kind, n, subset):
+    doc = {"energies": list(spec_for(kind, n).energies), "kind": kind.value}
+    argv = ["check", "--spec", write(tmp_path, "spec.json", doc)]
+    gens = system_generators(serialize.spec_from_dict(doc), recentered=True)
+    if subset is not None:
+        keep = range(1, n, 2) if subset == "odd" else range(2, n)
+        argv += ["--generators", ",".join(str(m) for m in keep)]
+        gens = [gens[0]] + [gens[m] for m in keep]
+    want = oracle_lie_closure(gens)
+    expected = {
+        "dimension": want.dimension,
+        "required": n * n - 1,
+        "fully_controllable": want.fully_controllable,
+        "bracket_depth": want.bracket_depth,
+    }
+    code = main(argv)
+    assert capsys.readouterr().out == serialize.dumps(expected) + "\n"
+    assert code == (0 if want.fully_controllable else 3)

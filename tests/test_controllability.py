@@ -13,15 +13,9 @@ from squarepulse import (
 )
 from squarepulse.errors import NotSkewHermitian, WitnessMismatch
 
-from conftest import spec_for
+from conftest import random_unitary, spec_for
 
 SU_DIMS = {2: 3, 3: 8, 4: 15, 5: 24, 6: 35}
-
-
-def random_unitary(rng, n):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def test_diagonal_generator_alone():
@@ -63,6 +57,8 @@ def test_closure_basis_skew_hermitian():
     res = lie_closure(system_generators(spec))
     for b in res.basis:
         assert np.max(np.abs(b + b.conj().T)) <= 1e-12
+        # each basis matrix owns its memory: no view into a shared buffer
+        assert b.flags.owndata
 
 
 def test_closure_invariant_under_generator_recombination(rng):
@@ -100,6 +96,45 @@ def test_non_traceless_drift_flagged():
 def test_rejects_non_skew_input():
     with pytest.raises(NotSkewHermitian):
         lie_closure([np.array([[0, 1], [1, 0]], dtype=complex)])
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [np.full((2, 2), np.nan)],
+        [1j * np.eye(2), np.full((2, 2), np.inf)],
+        # skew-Hermitian in form, but inf - inf leaves a NaN residual
+        [np.diag([complex(0, np.inf), complex(0, -np.inf)])],
+    ],
+    ids=["nan", "inf", "imaginary-inf"],
+)
+def test_rejects_non_finite_generators(gens):
+    # a NaN residual compared False against the tolerance, so the NaN
+    # generator passed the check and read as a 4-dimensional closure
+    with pytest.raises(NotSkewHermitian):
+        lie_closure(gens)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [np.zeros(3)],
+        [np.zeros((2, 3))],
+        [np.zeros((1, 2, 2))],
+        [np.zeros((0, 0))],
+        [np.array(1j)],
+        [1j * np.eye(2), np.zeros((3, 3))],
+    ],
+    ids=["1-d", "non-square", "3-d", "empty", "scalar", "mismatched"],
+)
+def test_rejects_malformed_generators(gens):
+    with pytest.raises(NotSkewHermitian):
+        lie_closure(gens)
+
+
+def test_rejects_empty_generator_list():
+    with pytest.raises(ValueError, match="no generators"):
+        lie_closure([])
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
