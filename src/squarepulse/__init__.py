@@ -17,8 +17,6 @@ from .controllability import (
 from .ledger import (
     AmplitudeLedger,
     LedgerMode,
-    LevelAmplitude,
-    PhaseLinearForm,
     evaluate_ledger,
     forward_ledger,
     paper_closed_form,
@@ -59,9 +57,7 @@ __all__ = [
     "BlockParams",
     "ChevalleyRecipe",
     "LedgerMode",
-    "LevelAmplitude",
     "LieClosureResult",
-    "PhaseLinearForm",
     "PulseCycle",
     "PulseSchedule",
     "SpectrumClass",

@@ -1,6 +1,6 @@
 """Command-line interface: synthesize, simulate, check, classify.
 
-Exit codes: 0 success, 1 input error, 2 fidelity floor violated,
+Exit codes: 0 success, 1 input or usage error, 2 fidelity floor violated,
 3 not fully controllable.
 """
 
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -129,8 +129,16 @@ def run_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on EXIT_INPUT; its own code 2 is EXIT_FIDELITY."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="squarepulse",
         description="Square-pulse control schedule synthesis and verification.",
     )

@@ -2,7 +2,15 @@
 
 Each level's amplitude is a product of sin/cos factors of the per-cycle
 rotation angles times a phase that is linear in the pulse widths and
-free-evolution times.  Two bookkeeping modes exist:
+free-evolution times.  The ledger stores one row per level k:
+
+    a_k = prod_i f_ki(theta_i)
+          * exp(i (coeff_tau[k] . tau + coeff_tau_free[k] . tau_free
+                   - quarter_turns[k] * pi/2)),
+
+with f_ki one of 1, cos, sin.  A cycle adds at most one factor to a level,
+so one column per cycle holds every factor list.  Two bookkeeping modes
+exist:
 
 * physical mode: spectator levels keep unit magnitude and every segment's
   phase is accumulated in one fixed lab frame, so the ledger is exactly
@@ -25,6 +33,7 @@ from .errors import DimensionMismatch
 from .spectrum import SystemKind, SystemSpec
 
 HALF_TURN = np.pi / 2
+_COS, _SIN = 1, 2  # factor codes; 0 is no factor
 
 
 class LedgerMode(Enum):
@@ -32,88 +41,65 @@ class LedgerMode(Enum):
     PHYSICAL = "physical"
 
 
-@dataclass(frozen=True)
-class PhaseLinearForm:
-    """phase(tau, tau_free) = sum(ct*tau) + sum(cf*tau_free) - q*pi/2."""
-
-    coeff_tau: tuple[float, ...]
-    coeff_tau_free: tuple[float, ...]
-    quarter_turns: int
-
-    def evaluate(self, tau: Sequence[float], tau_free: Sequence[float]) -> float:
-        if len(tau) != len(self.coeff_tau) or len(tau_free) != len(self.coeff_tau_free):
-            raise DimensionMismatch("duration lists do not match phase coefficients")
-        return (
-            float(np.dot(self.coeff_tau, tau))
-            + float(np.dot(self.coeff_tau_free, tau_free))
-            - self.quarter_turns * HALF_TURN
-        )
-
-
-@dataclass(frozen=True)
-class LevelAmplitude:
-    """Magnitude factor list (("cos"|"sin", 1-based angle index)) plus phase."""
-
-    factors: tuple[tuple[str, int], ...]
-    phase: PhaseLinearForm
-
-    def magnitude(self, theta: np.ndarray) -> np.ndarray:
-        """Evaluate the factor product; ``theta`` may be batched (..., N-1)."""
-        th = np.asarray(theta, dtype=float)
-        out = np.ones(th.shape[:-1])
-        for kind, idx in self.factors:
-            col = th[..., idx - 1]
-            out = out * (np.cos(col) if kind == "cos" else np.sin(col))
-        return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeLedger:
+    """Read-only coefficient rows, one per level, over N-1 cycle columns.
+
+    Row k gives prod_i f_ki(theta_i) * exp(i(coeff_tau[k].tau +
+    coeff_tau_free[k].tau_free - quarter_turns[k]*pi/2)), where
+    ``factors[k, i]`` is 0 (f = 1), 1 (cos) or 2 (sin) of angle i.
+    """
+
     spec: SystemSpec
     mode: LedgerMode
-    levels: tuple[LevelAmplitude, ...]
+    factors: np.ndarray  # (N, N-1) int8 codes
+    coeff_tau: np.ndarray  # (N, N-1)
+    coeff_tau_free: np.ndarray  # (N, N-1)
+    quarter_turns: np.ndarray  # (N,)
     notes: tuple[str, ...] = ()
 
     @property
     def n_angles(self) -> int:
         return self.spec.n_levels - 1
 
+    def magnitudes(self, theta: np.ndarray) -> np.ndarray:
+        """Factor products of every level; angles (..., N-1) -> (..., N)."""
+        th = np.asarray(theta, dtype=float)
+        if th.shape[-1:] != (self.n_angles,):
+            raise DimensionMismatch(f"expected {self.n_angles} angles, got {th.shape}")
+        table = np.stack([np.ones_like(th), np.cos(th), np.sin(th)], axis=-1)
+        return table[..., np.arange(self.n_angles), self.factors].prod(axis=-1)
+
+    def phases(self, tau: Sequence[float], tau_free: Sequence[float]) -> np.ndarray:
+        """Phase of every level at per-cycle pulse and free-evolution widths."""
+        t = np.asarray(tau, dtype=float)
+        tf = np.asarray(tau_free, dtype=float)
+        if t.shape != (self.n_angles,) or tf.shape != (self.n_angles,):
+            raise DimensionMismatch("duration lists do not match phase coefficients")
+        return (
+            self.coeff_tau @ t + self.coeff_tau_free @ tf - self.quarter_turns * HALF_TURN
+        )
+
     def to_dict(self) -> dict:
         """JSON-ready dump with factor lists as strings like "cos(1)"."""
+        names = ("", "cos", "sin")
         return {
             "mode": self.mode.value,
             "levels": [
                 {
-                    "magnitude_factors": [f"{k}({i})" for k, i in lv.factors],
-                    "coeff_tau": list(lv.phase.coeff_tau),
-                    "coeff_tau_free": list(lv.phase.coeff_tau_free),
-                    "quarter_turns": lv.phase.quarter_turns,
+                    "magnitude_factors": [
+                        f"{names[c]}({i})" for i, c in enumerate(row, start=1) if c
+                    ],
+                    "coeff_tau": ct.tolist(),
+                    "coeff_tau_free": cf.tolist(),
+                    "quarter_turns": int(q),
                 }
-                for lv in self.levels
+                for row, ct, cf, q in zip(
+                    self.factors, self.coeff_tau, self.coeff_tau_free, self.quarter_turns
+                )
             ],
             "notes": list(self.notes),
         }
-
-
-class _Symbolic:
-    """Mutable amplitude expression used while running the recursion."""
-
-    __slots__ = ("factors", "ct", "cf", "q", "populated")
-
-    def __init__(self, n_cycles: int, populated: bool) -> None:
-        self.factors: list[tuple[str, int]] = []
-        self.ct = np.zeros(n_cycles)
-        self.cf = np.zeros(n_cycles)
-        self.q = 0
-        self.populated = populated
-
-    def branch(self, n_cycles: int) -> "_Symbolic":
-        child = _Symbolic(n_cycles, populated=True)
-        child.factors = list(self.factors)
-        child.ct = self.ct.copy()
-        child.cf = self.cf.copy()
-        child.q = self.q
-        return child
 
 
 PAPER_INDEX_NOTE = (
@@ -127,43 +113,43 @@ PAPER_POWER_NOTE = (
 
 
 def forward_ledger(spec: SystemSpec, mode: LedgerMode) -> AmplitudeLedger:
-    """Propagate the ground state symbolically through all N-1 cycles."""
+    """Propagate the ground state symbolically through all N-1 cycles.
+
+    Cycle m branches its upper level off its lower one: the upper row
+    starts as a copy of the lower row, then the lower level gains cos(m)
+    and the upper level sin(m) and a quarter turn.  Levels not yet reached
+    carry no amplitude and stay zero rows until they are branched into.
+    """
     n = spec.n_levels
-    n_cycles = n - 1
-    energies = spec.energies
-    levels = [_Symbolic(n_cycles, populated=(k == 0)) for k in range(n)]
+    e = np.asarray(spec.energies)
+    factors = np.zeros((n, n - 1), dtype=np.int8)
+    ct = np.zeros((n, n - 1))
+    cf = np.zeros((n, n - 1))
+    q = np.zeros(n, dtype=np.int64)
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
 
-    for m in range(1, n_cycles + 1):
-        lo, hi = spec.coupled_levels(m)
-        i = m - 1
-        source = levels[lo]
-        child = source.branch(n_cycles)
-        child.factors.append(("sin", m))
-        child.q += 1
-        source.factors.append(("cos", m))
-
+    for i in range(n - 1):
+        lo, hi = spec.coupled_levels(i + 1)
+        factors[hi], ct[hi], cf[hi], q[hi] = factors[lo], ct[lo], cf[lo], q[lo] + 1
+        factors[lo, i], factors[hi, i] = _COS, _SIN
+        spectators = reached.copy()
+        spectators[lo] = False
+        ct[spectators, i] -= e[spectators]
         if mode is LedgerMode.PHYSICAL:
-            mean = 0.5 * (energies[lo] + energies[hi])
-            for k, lv in enumerate(levels):
-                if not lv.populated or k == hi:
-                    continue
-                lv.ct[i] -= mean if k == lo else energies[k]
-            child.ct[i] -= mean
+            mean = 0.5 * (e[lo] + e[hi])
+            ct[lo, i] -= mean
+            ct[hi, i] -= mean
         else:
-            # published recursion: spectators gain both cosine factors and
-            # pulse-time phases; the driven pair's pulse phase is dropped
-            # by the per-cycle re-zeroing of the energy origin
-            for k, lv in enumerate(levels):
-                if not lv.populated or k in (lo, hi):
-                    continue
-                lv.factors.append(("cos", m))
-                lv.ct[i] -= energies[k]
+            # published recursion: spectators also gain cosine factors; the
+            # driven pair's pulse phase is dropped by the per-cycle
+            # re-zeroing of the energy origin
+            factors[spectators, i] = _COS
+        reached[hi] = True
+        cf[reached, i] -= e[reached]
 
-        levels[hi] = child
-        for k, lv in enumerate(levels):
-            if lv.populated:
-                lv.cf[i] -= energies[k]
-
+    for arr in (factors, ct, cf, q):
+        arr.flags.writeable = False
     notes: tuple[str, ...] = ()
     if mode is LedgerMode.PAPER:
         notes = (
@@ -171,18 +157,7 @@ def forward_ledger(spec: SystemSpec, mode: LedgerMode) -> AmplitudeLedger:
             if spec.kind is SystemKind.GAP_TO_GROUND
             else (PAPER_POWER_NOTE,)
         )
-    return AmplitudeLedger(
-        spec=spec,
-        mode=mode,
-        levels=tuple(
-            LevelAmplitude(
-                factors=tuple(lv.factors),
-                phase=PhaseLinearForm(tuple(lv.ct), tuple(lv.cf), lv.q),
-            )
-            for lv in levels
-        ),
-        notes=notes,
-    )
+    return AmplitudeLedger(spec, mode, factors, ct, cf, q, notes)
 
 
 def evaluate_ledger(
@@ -196,16 +171,7 @@ def evaluate_ledger(
     Physical-mode output is normalized by construction; paper-mode output
     is returned as-is and may not be.
     """
-    th = np.asarray(theta, dtype=float)
-    if th.size != ledger.n_angles:
-        raise DimensionMismatch(f"expected {ledger.n_angles} angles, got {th.size}")
-    return np.array(
-        [
-            lv.magnitude(th) * np.exp(1j * lv.phase.evaluate(tau, tau_free))
-            for lv in ledger.levels
-        ],
-        dtype=complex,
-    )
+    return ledger.magnitudes(theta) * np.exp(1j * ledger.phases(tau, tau_free))
 
 
 def paper_closed_form(

@@ -54,6 +54,13 @@ class SynthesisOptions:
 
 @dataclass(frozen=True)
 class SynthesisReport:
+    """A verified schedule with what it predicts and what it reaches.
+
+    ``residual_phases[k-1]`` is the simulated minus the target phase of
+    level k, both taken relative to the first populated level and wrapped
+    into (-pi, pi]; it is 0 for empty levels and for that level itself.
+    """
+
     schedule: PulseSchedule
     angles: tuple[float, ...]
     predicted: np.ndarray
@@ -161,18 +168,14 @@ def solve_free_times(
     if ledger.mode is not LedgerMode.PHYSICAL:
         raise ValueError("free-time solving requires a physical-mode ledger")
 
-    def pulse_phase(k: int) -> float:
-        form = ledger.levels[k].phase
-        return float(np.dot(form.coeff_tau, tau)) - form.quarter_turns * np.pi / 2
-
-    base_const = pulse_phase(0)
+    pulse = ledger.phases(tau, np.zeros(n - 1)).tolist()  # phases at zero free time
     r = [0.0] * n
     populated = [True] * n
     for k, phi in enumerate(target_phases, start=1):
         if phi is None:
             populated[k] = False
         else:
-            r[k] = float(phi) - (pulse_phase(k) - base_const)
+            r[k] = float(phi) - (pulse[k] - pulse[0])
 
     ancestor = [0] * n
     if spec.kind is SystemKind.NEAREST_NEIGHBOR:
@@ -242,13 +245,14 @@ def synthesize(
     simulated, _ = simulate(schedule)
     fid = fidelity(psi, simulated)
 
+    ref = int(np.argmax(mags > opts.zero_threshold))  # the first populated level
     residuals = []
     for k in range(1, spec.n_levels):
         if target_phases[k - 1] is None:
             residuals.append(0.0)
             continue
-        got = np.angle(simulated[k]) - np.angle(simulated[0])
-        want = np.angle(psi[k]) - np.angle(psi[0])
+        got = np.angle(simulated[k]) - np.angle(simulated[ref])
+        want = np.angle(psi[k]) - np.angle(psi[ref])
         residuals.append(float(np.angle(np.exp(1j * (got - want)))))
 
     floor = 1.0 - 10.0 / (2.0 * opts.field_ratio) ** 2 - 1e-6

@@ -79,8 +79,8 @@ def test_criterion_3_physical_normalization_and_paper_gap_witness():
         for n in range(2, 7):
             ledger = forward_ledger(spec_for(kind, n), LedgerMode.PHYSICAL)
             thetas = rng.uniform(0.0, np.pi / 2, size=(10_000, n - 1))
-            mags = np.stack([lv.magnitude(thetas) for lv in ledger.levels])
-            worst = max(worst, float(np.max(np.abs(np.sum(mags**2, axis=0) - 1.0))))
+            mags = ledger.magnitudes(thetas)
+            worst = max(worst, float(np.max(np.abs(np.sum(mags**2, axis=-1) - 1.0))))
     assert worst <= 1e-12
 
     witness_theta = np.array([np.pi / 2, np.pi / 4])

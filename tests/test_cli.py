@@ -291,3 +291,30 @@ def test_check_stdout_matches_oracle_closure(tmp_path, capsys, kind, n, subset):
     code = main(argv)
     assert capsys.readouterr().out == serialize.dumps(expected) + "\n"
     assert code == (0 if want.fully_controllable else 3)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--spec", "spec.json"],
+        ["synth", "--spec", "spec.json", "--target", "target.json", "--ratio", "abc"],
+        ["no-such-command"],
+        [],
+    ],
+)
+def test_usage_errors_exit_input(capsys, argv):
+    # argparse's own exit code 2 would read as a fidelity-floor failure
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: squarepulse")
+    assert "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["synth", "--help"]])
+def test_help_exits_ok(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: squarepulse")

@@ -65,16 +65,15 @@ def enumerate_free_times(
     if ledger.mode is not LedgerMode.PHYSICAL:
         raise ValueError("free-time solving requires a physical-mode ledger")
 
-    base = ledger.levels[0].phase
-    base_const = float(np.dot(base.coeff_tau, tau)) - base.quarter_turns * np.pi / 2
+    ct, cf, q = ledger.coeff_tau, ledger.coeff_tau_free, ledger.quarter_turns
+    base_const = float(np.dot(ct[0], tau)) - q[0] * np.pi / 2
     rows = []
     rhs0 = []
     for k, phi in zip(range(2, n + 1), target_phases):
         if phi is None:
             continue
-        form = ledger.levels[k - 1].phase
-        const = float(np.dot(form.coeff_tau, tau)) - form.quarter_turns * np.pi / 2
-        rows.append(np.asarray(form.coeff_tau_free) - np.asarray(base.coeff_tau_free))
+        const = float(np.dot(ct[k - 1], tau)) - q[k - 1] * np.pi / 2
+        rows.append(cf[k - 1] - cf[0])
         rhs0.append(_wrap_nonpositive(float(phi) - (const - base_const)))
     n_c = len(rows)
     if n_c == 0:
@@ -137,8 +136,8 @@ def relative_phases(target):
 
 def ledger_phases(ledger, tau, tau_free):
     """Each level's ledger phase relative to level 0."""
-    phases = [lv.phase.evaluate(tau, tau_free) for lv in ledger.levels]
-    return np.array(phases[1:]) - phases[0]
+    phases = ledger.phases(tau, tau_free)
+    return phases[1:] - phases[0]
 
 
 def assert_matches_oracle(spec, target):
@@ -148,7 +147,7 @@ def assert_matches_oracle(spec, target):
     phases = relative_phases(target)
 
     got = solve_free_times(spec, ledger, tau, phases)
-    cf = np.array([lv.phase.coeff_tau_free for lv in ledger.levels])
+    cf = ledger.coeff_tau_free
     bound = int(np.max(np.abs(cf[1:] - cf[0])) * sum(got) / TWO_PI) + 1
     want = enumerate_free_times(spec, ledger, theta, tau, d, phases, bound)
 

@@ -20,19 +20,18 @@ from conftest import gap_to_ground_spec, nearest_neighbor_spec, spec_for
 
 
 def factors_as_strings(ledger, level):
-    return [f"{k}({i})" for k, i in ledger.levels[level].factors]
+    return ledger.to_dict()["levels"][level]["magnitude_factors"]
 
 
 def test_paper_mode_system_ii_n3_structure():
     spec = nearest_neighbor_spec(3)
     ledger = forward_ledger(spec, LedgerMode.PAPER)
-    top = ledger.levels[2]
     assert factors_as_strings(ledger, 2) == ["sin(1)", "sin(2)"]
-    assert top.phase.quarter_turns == 2
+    assert ledger.quarter_turns[2] == 2
     # amplitude carries exp(-i E_2 tau'_1) exp(-i E_3 tau'_2)
     e = spec.energies
-    assert top.phase.coeff_tau_free == (-e[1], -e[2])
-    assert top.phase.coeff_tau == (0.0, 0.0)
+    assert tuple(ledger.coeff_tau_free[2]) == (-e[1], -e[2])
+    assert tuple(ledger.coeff_tau[2]) == (0.0, 0.0)
 
 
 def test_physical_mode_system_i_n3_magnitudes():
@@ -44,7 +43,7 @@ def test_physical_mode_system_i_n3_magnitudes():
     rng = np.random.default_rng(11)
     for _ in range(100):
         th = rng.uniform(0, np.pi / 2, 2)
-        mags = [lv.magnitude(th) for lv in ledger.levels]
+        mags = ledger.magnitudes(th)
         assert np.isclose(sum(m**2 for m in mags), 1.0, atol=1e-14)
 
 
@@ -52,7 +51,7 @@ def test_physical_mode_closed_form_magnitudes():
     th = np.array([np.arccos(1 / np.sqrt(3)), np.pi / 4])
     spec = nearest_neighbor_spec(3)
     ledger = forward_ledger(spec, LedgerMode.PHYSICAL)
-    mags = np.array([lv.magnitude(th) for lv in ledger.levels])
+    mags = ledger.magnitudes(th)
     assert np.allclose(mags, 1 / np.sqrt(3), atol=1e-12)
 
 
@@ -147,14 +146,11 @@ def test_phase_linearity_finite_differences():
                 t2, f2 = np.array(tau), np.array(tf)
                 (t2 if which == "tau" else f2)[i] += h
                 shifted = evaluate_ledger(ledger, th, t2, f2)
-                for k, lv in enumerate(ledger.levels):
+                coeffs = ledger.coeff_tau if which == "tau" else ledger.coeff_tau_free
+                for k in range(spec.n_levels):
                     if abs(base[k]) < 1e-12:
                         continue
-                    coeff = (
-                        lv.phase.coeff_tau[i]
-                        if which == "tau"
-                        else lv.phase.coeff_tau_free[i]
-                    )
+                    coeff = coeffs[k, i]
                     dphi = np.angle(shifted[k] / base[k])
                     expected = np.angle(np.exp(1j * coeff * h))
                     assert abs(np.angle(np.exp(1j * (dphi - expected)))) <= 1e-12
@@ -231,5 +227,12 @@ def test_physical_norm_property(kind, n, data):
             for _ in range(n - 1)
         ]
     )
-    mags = np.array([lv.magnitude(th) for lv in ledger.levels])
+    mags = ledger.magnitudes(th)
     assert np.isclose(np.sum(mags**2), 1.0, atol=1e-12)
+
+
+def test_ledger_arrays_are_read_only():
+    ledger = forward_ledger(nearest_neighbor_spec(3), LedgerMode.PHYSICAL)
+    for arr in (ledger.factors, ledger.coeff_tau, ledger.coeff_tau_free, ledger.quarter_turns):
+        with pytest.raises(ValueError):
+            arr[0] = 0

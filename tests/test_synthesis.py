@@ -203,6 +203,34 @@ def test_synthesize_parameter_count_and_round_trip(rng):
             assert np.max(np.abs(rep.residual_phases)) <= 5e-2
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(list(SystemKind)),
+    n=st.integers(min_value=2, max_value=5),
+    data=st.data(),
+)
+def test_residual_phases_with_empty_ground_level(kind, n, data):
+    # level 0 empty: residuals are taken against the first populated level,
+    # not against the leakage left on level 0.  N stops at 5 because the
+    # O(1/rho) phase error itself grows with N and with small magnitudes:
+    # at rho = 100 it passes 5e-2 from N = 6 on, whether level 0 is empty or not.
+    populated = [False] + data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    assume(any(populated))
+    mags = np.array(
+        [data.draw(st.floats(min_value=0.2, max_value=1.0)) if p else 0.0 for p in populated]
+    )
+    phases = np.array(data.draw(st.lists(
+        st.floats(min_value=-np.pi, max_value=np.pi), min_size=n, max_size=n)))
+    target = mags / np.linalg.norm(mags) * np.exp(1j * phases)
+    rep = synthesize(spec_for(kind, n), target)
+    assert len(rep.residual_phases) == n - 1
+    assert np.max(np.abs(rep.residual_phases)) <= 5e-2
+    first = populated.index(True)
+    assert all(rep.residual_phases[k - 1] == 0.0 for k in range(1, n) if not populated[k])
+    if first > 0:
+        assert rep.residual_phases[first - 1] == 0.0
+
+
 def test_monotone_accuracy_in_field_ratio(rng):
     for kind in SystemKind:
         spec = spec_for(kind, 4)
@@ -313,7 +341,7 @@ def test_free_times_suffix_steps_property(spec, data):
         else:
             assert step == 0.0
 
-    got = [lv.phase.evaluate(tau, tau_free) for lv in ledger.levels]
+    got = ledger.phases(tau, tau_free)
     for k in range(1, n):
         if populated[k]:
             miss = got[k] - got[0] - wanted[k - 1]
