@@ -76,13 +76,10 @@ __all__ = [
     "evaluate_ledger",
     "fidelity",
     "forward_ledger",
-    "free_propagator",
     "ground_state",
     "is_completely_controllable",
     "lie_closure",
-    "matrix_exp_oracle",
     "paper_closed_form",
-    "pulse_propagator",
     "recenter",
     "simulate",
     "solve_angles",
@@ -92,4 +89,4 @@ __all__ = [
     "validate_spectrum",
     "validate_state",
 ]
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -38,8 +38,6 @@ def run_synth(args: argparse.Namespace) -> int:
     target = serialize.state_from_dict(
         serialize.load_json(args.target), spec.n_levels
     )
-    if args.winding_bound is not None:
-        print("note: --winding-bound is deprecated and ignored", file=sys.stderr)
     try:
         options = SynthesisOptions(
             field_ratio=args.ratio, zero_threshold=args.zero_threshold
@@ -112,9 +110,7 @@ def run_check(args: argparse.Namespace) -> int:
 
 def run_classify(args: argparse.Namespace) -> int:
     doc = serialize.load_json(args.spec)
-    energies = doc.get("energies")
-    if not isinstance(energies, list):
-        raise InputError("missing field 'energies'")
+    energies = serialize.energies_from_dict(doc)
     try:
         label = classify_spectrum(energies)
     except ControlError as exc:
@@ -149,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--out")
     p.add_argument("--ratio", type=float, default=100.0)
-    p.add_argument("--winding-bound", type=int, help="deprecated; ignored")
     p.add_argument("--zero-threshold", type=float, default=1e-10)
     p.set_defaults(func=run_synth)
 

@@ -15,11 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MaxIterExceeded, NotSkewHermitian, WitnessMismatch
+from .errors import NotSkewHermitian, WitnessMismatch
 from .operators import coupling_operator, drift_hamiltonian
 from .spectrum import SystemKind, SystemSpec, recenter, validate_spectrum
 
 SKEW_ATOL = 1e-12
+WITNESS_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,6 @@ def _unflatten(vecs: np.ndarray, n: int) -> np.ndarray:
 def lie_closure(
     generators: Sequence[np.ndarray],
     tol: float = 1e-9,
-    max_iter: int = 10_000,
 ) -> LieClosureResult:
     """Real Lie algebra generated by the given skew-Hermitian matrices.
 
@@ -133,8 +133,6 @@ def lie_closure(
 
     k = 0
     while k < len(depths) and len(depths) < max_dim:
-        if k >= max_iter:
-            raise MaxIterExceeded(f"closure did not settle within {max_iter} sweeps")
         mats = _unflatten(q[: len(depths)], n)  # this sweep's candidates, fixed now
         comms = _flatten(mats[k] @ mats - mats @ mats[k])
         for j, comm in enumerate(comms):
@@ -171,7 +169,7 @@ def _pair_targets(n_pair: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return ix, iy, ih
 
 
-def chevalley_witness(spec: SystemSpec, atol: float = 1e-9) -> list[ChevalleyRecipe]:
+def chevalley_witness(spec: SystemSpec) -> list[ChevalleyRecipe]:
     """Concrete bracket recipes producing the adjacent-pair su(N) generators.
 
     For nearest-neighbor coupling each i*H_n is already the pair's x
@@ -211,9 +209,9 @@ def chevalley_witness(spec: SystemSpec, atol: float = 1e-9) -> list[ChevalleyRec
         tx, ty, th = _pair_targets(m, n)
         for got, want, label in ((ix, tx, "x"), (iy, ty, "y"), (ih, th, "h")):
             resid = np.max(np.abs(got - want))
-            if not resid <= atol:  # NaN-safe: degenerate gaps divide to NaN
+            if not resid <= WITNESS_ATOL:  # NaN-safe: degenerate gaps divide to NaN
                 raise WitnessMismatch(
-                    f"recipe for i{label}_{m} missed its target beyond {atol}"
+                    f"recipe for i{label}_{m} missed its target beyond {WITNESS_ATOL}"
                 )
         recipes.append(
             ChevalleyRecipe(

@@ -41,26 +41,8 @@ class InfeasibleMagnitudes(ControlError):
     """Residual probability mass behind a vanished prefix product."""
 
 
-class SingularPhaseSystem(ControlError):
-    """Phase-matching linear system is rank deficient.
-
-    No longer raised: the free-time congruences are always solvable.
-    """
-
-
-class WindingBoundExceeded(ControlError):
-    """No nonnegative free-time solution within the winding bound.
-
-    No longer raised: free times are solved exactly without a bound.
-    """
-
-
 class NotSkewHermitian(ControlError):
     """Generator is not skew-Hermitian."""
-
-
-class MaxIterExceeded(ControlError):
-    """Lie closure did not terminate within the iteration budget."""
 
 
 class WitnessMismatch(ControlError):

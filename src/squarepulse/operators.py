@@ -9,12 +9,6 @@ import numpy as np
 from .errors import NonPositiveField
 from .spectrum import SystemSpec, coupled_gap
 
-HERMITIAN_ATOL = 1e-14
-
-
-def is_hermitian(mat: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= atol)
-
 
 @dataclass(frozen=True)
 class BlockParams:

@@ -36,7 +36,7 @@ def validate_state(amplitudes: np.ndarray, n_levels: int | None = None) -> np.nd
     if n_levels is not None and psi.size != n_levels:
         raise DimensionMismatch(f"state has {psi.size} amplitudes, expected {n_levels}")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > STATE_NORM_ATOL:
+    if not abs(norm - 1.0) <= STATE_NORM_ATOL:  # a NaN norm fails too
         raise NotNormalized(f"state norm {norm} deviates from 1 beyond {STATE_NORM_ATOL}")
     return psi
 
@@ -57,9 +57,10 @@ class PulseCycle:
     tau_free: float
 
     def __post_init__(self) -> None:
-        if self.d <= 0:
+        # written so that a NaN fails each check
+        if not self.d > 0:
             raise NonPositiveField(f"cycle {self.m}: field amplitude {self.d} <= 0")
-        if self.tau < 0 or self.tau_free < 0:
+        if not (self.tau >= 0 and self.tau_free >= 0):
             raise NegativeDuration(f"cycle {self.m}: negative duration")
 
 

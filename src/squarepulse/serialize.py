@@ -62,12 +62,20 @@ def load_json(path: str) -> dict:
     return doc
 
 
-def spec_from_dict(doc: dict) -> SystemSpec:
+def _is_number(x: Any) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def energies_from_dict(doc: dict) -> list:
     energies = _require(doc, "energies", "")
-    if not isinstance(energies, list) or not all(
-        isinstance(e, (int, float)) for e in energies
-    ):
+    if not isinstance(energies, list) or not all(_is_number(e) for e in energies):
         raise InputError("field 'energies' must be a list of numbers")
+    return energies
+
+
+def spec_from_dict(doc: dict) -> SystemSpec:
+    energies = energies_from_dict(doc)
     kind_name = _require(doc, "kind", "")
     try:
         kind = SystemKind(kind_name)
@@ -75,28 +83,20 @@ def spec_from_dict(doc: dict) -> SystemSpec:
         choices = ", ".join(k.value for k in SystemKind)
         raise InputError(f"field 'kind' must be one of: {choices}") from None
     tol = doc.get("tolerance", DEFAULT_TOLERANCE)
-    if not isinstance(tol, (int, float)) or tol <= 0:
-        raise InputError("field 'tolerance' must be a positive number")
+    if not (_is_number(tol) and 0 < tol < np.inf):
+        raise InputError("field 'tolerance' must be a positive finite number")
     try:
         return validate_spectrum(energies, kind, float(tol))
     except ControlError as exc:
         raise InputError(f"field 'energies': {exc}") from exc
 
 
-def spec_to_dict(spec: SystemSpec) -> dict:
-    return {
-        "energies": list(spec.energies),
-        "kind": spec.kind.value,
-        "tolerance": spec.tolerance,
-    }
-
-
 def state_from_dict(doc: dict, n_levels: int | None = None) -> np.ndarray:
     amps = _require(doc, "amplitudes", "")
     if not isinstance(amps, list) or not all(
-        isinstance(a, list) and len(a) == 2 for a in amps
+        isinstance(a, list) and len(a) == 2 and all(map(_is_number, a)) for a in amps
     ):
-        raise InputError("field 'amplitudes' must be a list of [re, im] pairs")
+        raise InputError("field 'amplitudes' must be a list of [re, im] number pairs")
     vec = np.array([complex(a[0], a[1]) for a in amps])
     try:
         return validate_state(vec, n_levels)

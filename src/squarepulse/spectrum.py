@@ -64,6 +64,8 @@ def _nearest_gaps(energies: Sequence[float]) -> np.ndarray:
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1 or e.size < 2:
         raise NonMonotonicSpectrum("need at least two energy levels")
+    if not np.all(np.isfinite(e)):  # NaN gaps would pass every check below
+        raise NonMonotonicSpectrum(f"energies must be finite: {e.tolist()}")
     gaps = np.diff(e)
     if np.any(gaps <= 0):
         raise NonMonotonicSpectrum(f"energies not strictly increasing: {list(e)}")

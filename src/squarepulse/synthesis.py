@@ -8,7 +8,6 @@ over their suffix sums, each taken least in its residue class mod 2*pi.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,20 +33,11 @@ _PHASE_ATOL = 1e-9
 @dataclass(frozen=True)
 class SynthesisOptions:
     field_ratio: float = 100.0
-    winding_bound: int | None = None  # deprecated and ignored
     zero_threshold: float = 1e-10
 
     def __post_init__(self) -> None:
         if not 1 < self.field_ratio < np.inf:
             raise ValueError("field_ratio must be finite and exceed 1")
-        if self.winding_bound is not None:
-            warnings.warn(
-                "winding_bound is ignored: free times are solved exactly",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if self.winding_bound < 0:
-                raise ValueError("winding_bound must be >= 0")
         if not 0 <= self.zero_threshold < 1:
             raise ValueError("zero_threshold must be in [0, 1)")
 
@@ -89,7 +79,7 @@ def solve_angles(
     mags = np.asarray(magnitudes, dtype=float)
     if np.any(mags < 0):
         raise InfeasibleMagnitudes("magnitudes must be nonnegative")
-    if abs(np.sum(mags**2) - 1.0) > MAGNITUDE_NORM_ATOL:
+    if not abs(np.sum(mags**2) - 1.0) <= MAGNITUDE_NORM_ATOL:  # NaN fails
         raise NotNormalized(f"squared magnitudes sum to {np.sum(mags ** 2)}")
     n = mags.size
     theta = np.zeros(n - 1)
@@ -256,7 +246,7 @@ def synthesize(
         residuals.append(float(np.angle(np.exp(1j * (got - want)))))
 
     floor = 1.0 - 10.0 / (2.0 * opts.field_ratio) ** 2 - 1e-6
-    if fid < floor:
+    if not fid >= floor:  # a NaN fidelity fails too
         raise FidelityBelowFloor(f"fidelity {fid} below floor {floor}")
     return SynthesisReport(
         schedule=schedule,

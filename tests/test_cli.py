@@ -221,16 +221,42 @@ def test_float_serialization_round_trips():
     assert serialize.dumps({"b": 1.5, "a": True}) == '{"a":true,"b":1.5}'
 
 
-def test_synth_winding_bound_flag_is_ignored(tmp_path, capsys):
-    spec = write(tmp_path, "spec.json", SPEC_I4)
-    target = write(tmp_path, "target.json", uniform_target(4))
-    plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
-    args = ["synth", "--spec", spec, "--target", target, "--out"]
-    assert main(args + [str(plain)]) == 0
-    assert "deprecated" not in capsys.readouterr().err
-    assert main(args + [str(flagged), "--winding-bound", "0"]) == 0
-    assert "--winding-bound is deprecated and ignored" in capsys.readouterr().err
-    assert plain.read_bytes() == flagged.read_bytes()
+@pytest.mark.parametrize(
+    "field, doc",
+    [
+        ("energies", {"energies": [False, True], "kind": "nearest_neighbor"}),
+        ("energies", {"energies": [0.0, 1.0, True], "kind": "gap_to_ground"}),
+        ("energies", {"energies": [0.0, float("nan")], "kind": "gap_to_ground"}),
+        ("energies", {"energies": [0.0, float("inf")], "kind": "nearest_neighbor"}),
+        ("energies", {"energies": [0.0, float("nan"), 3.0], "kind": "nearest_neighbor"}),
+        ("energies", {"energies": [float("-inf"), 1.0, 3.0], "kind": "gap_to_ground"}),
+        ("tolerance", {**SPEC_II3, "tolerance": True}),
+        ("tolerance", {**SPEC_II3, "tolerance": float("nan")}),
+        ("tolerance", {**SPEC_II3, "tolerance": float("inf")}),
+    ],
+)
+def test_spec_rejects_booleans_and_non_finite_numbers(tmp_path, capsys, field, doc):
+    spec = write(tmp_path, "spec.json", doc)
+    target = write(tmp_path, "target.json", uniform_target(len(doc["energies"])))
+    assert main(["synth", "--spec", spec, "--target", target]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no schedule, no fidelity line
+    assert f"error: field '{field}'" in captured.err
+    out = str(tmp_path / "ledger.json")
+    assert main(["classify", "--spec", spec, "--out", out]) == 1
+    assert f"error: field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", [[float("nan"), 0.0], [True, 0.0], ["1", 0.0]])
+def test_synth_rejects_bad_target_amplitude(tmp_path, capsys, pair):
+    spec = write(tmp_path, "spec.json", SPEC_II3)
+    target = write(
+        tmp_path, "target.json", {"amplitudes": [pair, [0.0, 0.0], [0.0, 0.0]]}
+    )
+    assert main(["synth", "--spec", spec, "--target", target]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: field 'amplitudes'" in captured.err
 
 
 @pytest.mark.parametrize(

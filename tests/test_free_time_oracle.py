@@ -22,17 +22,21 @@ from squarepulse import (
     solve_free_times,
     validate_spectrum,
 )
-from squarepulse.errors import (
-    DimensionMismatch,
-    SingularPhaseSystem,
-    WindingBoundExceeded,
-)
+from squarepulse.errors import DimensionMismatch
 from squarepulse.ledger import AmplitudeLedger
 
 from conftest import random_target, spec_for
 
 TWO_PI = 2.0 * np.pi
 ZERO_THRESHOLD = 1e-10
+
+
+class SingularPhaseSystem(Exception):
+    """The oracle's phase-matching linear system is rank deficient."""
+
+
+class WindingBoundExceeded(Exception):
+    """The oracle found no nonnegative solution within its winding bound."""
 
 
 def _wrap_nonpositive(x: float) -> float:

@@ -18,7 +18,12 @@ from squarepulse import (
     validate_state,
 )
 from squarepulse import propagator
-from squarepulse.errors import DimensionMismatch, NegativeDuration, NotNormalized
+from squarepulse.errors import (
+    DimensionMismatch,
+    NegativeDuration,
+    NonPositiveField,
+    NotNormalized,
+)
 
 from conftest import gap_to_ground_spec, nearest_neighbor_spec, spec_for
 
@@ -33,6 +38,8 @@ def test_state_validation():
     validate_state([1.0, 0.0])
     with pytest.raises(NotNormalized):
         validate_state([0.5, 0.5])
+    with pytest.raises(NotNormalized):
+        validate_state([1.0, np.nan])
     with pytest.raises(DimensionMismatch):
         validate_state([1.0, 0.0], 3)
 
@@ -184,6 +191,12 @@ def test_schedule_validation():
         PulseSchedule(spec, (PulseCycle(2, 1.0, 0.1, 0.1), PulseCycle(1, 1.0, 0.1, 0.1)))
     with pytest.raises(NegativeDuration):
         PulseCycle(1, 1.0, -0.1, 0.0)
+    nan = float("nan")
+    with pytest.raises(NonPositiveField):
+        PulseCycle(1, nan, 0.1, 0.0)
+    for tau, tau_free in ((nan, 0.0), (0.1, nan)):
+        with pytest.raises(NegativeDuration):
+            PulseCycle(1, 1.0, tau, tau_free)
 
 
 @settings(max_examples=40, deadline=None)

@@ -47,6 +47,19 @@ def test_non_monotonic_rejected():
         validate_spectrum([0.5], SystemKind.GAP_TO_GROUND, 1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n, at", [(2, 0), (2, 1), (3, 1), (3, 2)])
+def test_non_finite_energies_rejected(bad, n, at):
+    # at N = 2 the gap-pattern checks are vacuous, so only this check stops them
+    energies = [0.0, 2.0, 3.0][:n]
+    energies[at] = bad
+    for kind in SystemKind:
+        with pytest.raises(NonMonotonicSpectrum, match="finite"):
+            validate_spectrum(energies, kind, 1e-9)
+    with pytest.raises(NonMonotonicSpectrum, match="finite"):
+        classify_spectrum(energies)
+
+
 def test_three_level_edge_cases():
     # N = 3 only needs the first gap distinct from the second
     validate_spectrum([0, 2, 3], SystemKind.GAP_TO_GROUND, 1e-9)

@@ -27,6 +27,7 @@ from squarepulse import (
     validate_spectrum,
 )
 from squarepulse.errors import (
+    FidelityBelowFloor,
     GapStructureViolation,
     InfeasibleMagnitudes,
     NotNormalized,
@@ -86,6 +87,9 @@ def test_solve_angles_exact_inverse_random(rng):
 def test_solve_angles_rejects_bad_input():
     with pytest.raises(NotNormalized):
         solve_angles(SystemKind.NEAREST_NEIGHBOR, [0.5, 0.5])
+    for kind in SystemKind:
+        with pytest.raises(NotNormalized):
+            solve_angles(kind, [np.sqrt(0.5), np.nan, np.sqrt(0.5)])
     with pytest.raises(InfeasibleMagnitudes):
         solve_angles(SystemKind.NEAREST_NEIGHBOR, [-0.6, 0.8])
     # mass hidden behind a vanished prefix: level 1 saturates, level 3 nonzero
@@ -268,20 +272,15 @@ def test_options_validation():
     for ratio in (0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             SynthesisOptions(field_ratio=ratio)
-    with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-        SynthesisOptions(winding_bound=-1)
     with pytest.raises(ValueError):
         SynthesisOptions(zero_threshold=1.5)
 
 
-def test_winding_bound_is_deprecated_and_ignored(rng):
-    spec = spec_for(SystemKind.NEAREST_NEIGHBOR, 5)
-    target = random_target(rng, 5)
-    with pytest.warns(DeprecationWarning, match="winding_bound"):
-        opts = SynthesisOptions(winding_bound=0)
-    rep = synthesize(spec, target, opts)
-    ref = synthesize(spec, target)
-    assert rep.schedule == ref.schedule
+def test_nan_fidelity_fails_the_floor(monkeypatch):
+    monkeypatch.setattr(squarepulse.synthesis, "fidelity", lambda a, b: float("nan"))
+    spec = spec_for(SystemKind.NEAREST_NEIGHBOR, 3)
+    with pytest.raises(FidelityBelowFloor):
+        synthesize(spec, np.full(3, 1 / np.sqrt(3), dtype=complex))
 
 
 @st.composite
