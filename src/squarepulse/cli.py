@@ -18,7 +18,7 @@ from .errors import ControlError, FidelityBelowFloor
 from .ledger import LedgerMode, forward_ledger
 from .propagator import simulate
 from .serialize import InputError
-from .spectrum import classify_spectrum, validate_spectrum
+from .spectrum import classify_spectrum
 from .synthesis import SynthesisOptions, synthesize
 
 EXIT_OK = 0
@@ -111,8 +111,9 @@ def run_check(args: argparse.Namespace) -> int:
 def run_classify(args: argparse.Namespace) -> int:
     doc = serialize.load_json(args.spec)
     energies = serialize.energies_from_dict(doc)
+    tol = serialize._tolerance_from_dict(doc)
     try:
-        label = classify_spectrum(energies)
+        label = classify_spectrum(energies, tol)
     except ControlError as exc:
         raise InputError(f"field 'energies': {exc}") from exc
     print(label.value)

@@ -1,30 +1,32 @@
 """Exact evolution under piecewise-constant Hamiltonians.
 
 A pulse cycle rotates one coupled pair of levels and free flight only adds
-diagonal phases, so `simulate` advances a state in O(N) per segment: one
-private kernel applies the closed-form 2x2 Rabi block to the pair and pure
-phases to every other level.  `pulse_propagator` and `free_propagator` are
-dense N x N views kept for inspection and tests; `matrix_exp_oracle` is an
-independent eigendecomposition-based check.
+diagonal phases, so every state `simulate` emits is a row of phases
+exp(-i E_n t) times the state at its cycle's start, with the pair's two
+entries replaced by the closed-form 2x2 Rabi block.  `_pair_blocks`
+computes those blocks for every cycle and sample offset at once, and
+`simulate` writes every state into one preallocated (T, N) table in a
+single pass over the cycles; the table is the returned `Trajectory`.
+`pulse_propagator` is a dense N x N view of the same blocks and
+`free_propagator` of the phases, kept for inspection and tests;
+`matrix_exp_oracle` is an independent eigendecomposition-based check.
 """
-
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
+    ControlError,
     DimensionMismatch,
     EigenFailure,
     NegativeDuration,
     NonPositiveField,
     NotNormalized,
 )
-from .operators import block_params
 from .spectrum import SystemSpec
 
 STATE_NORM_ATOL = 1e-12
@@ -58,10 +60,14 @@ class PulseCycle:
 
     def __post_init__(self) -> None:
         # written so that a NaN fails each check
-        if not self.d > 0:
-            raise NonPositiveField(f"cycle {self.m}: field amplitude {self.d} <= 0")
-        if not (self.tau >= 0 and self.tau_free >= 0):
-            raise NegativeDuration(f"cycle {self.m}: negative duration")
+        if not 0 < self.d < math.inf:
+            raise NonPositiveField(
+                f"cycle {self.m}: field amplitude {self.d} must be positive and finite"
+            )
+        if not (0 <= self.tau < math.inf and 0 <= self.tau_free < math.inf):
+            raise NegativeDuration(
+                f"cycle {self.m}: durations must be nonnegative and finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -84,8 +90,10 @@ class PulseSchedule:
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: tuple[float, ...]
-    states: tuple[np.ndarray, ...]
+    """Sampled times, shape (T,), and the states at them, shape (T, N); read-only."""
+
+    times: np.ndarray
+    states: np.ndarray
 
 
 def matrix_exp_oracle(hamiltonian: np.ndarray, t: float) -> np.ndarray:
@@ -109,38 +117,51 @@ def pulse_propagator(spec: SystemSpec, m: int, d: float, t: float) -> np.ndarray
     """Closed-form propagator of drift + d * coupling(m) for time ``t``.
 
     A dense view of the kernel that `simulate` runs, kept for inspection
-    and tests: the kernel applied to the identity's rows, transposed.
+    and tests: diagonal phases with the pair block from `_pair_blocks`.
     """
     if t < 0:
         raise NegativeDuration(f"negative pulse duration {t}")
-    return _advance(spec, PulseCycle(m, d, t, 0.0), np.eye(spec.n_levels), t).T
+    (lo,), (hi,), blocks = _pair_blocks(spec, (PulseCycle(m, d, t, 0.0),), np.array([[t]]))
+    u = np.diag(np.exp(-1j * np.asarray(spec.energies) * t))
+    u[np.ix_((lo, hi), (lo, hi))] = blocks[0, 0]
+    return u
 
 
-def _advance(spec: SystemSpec, cycle: PulseCycle, psi: np.ndarray, t: float) -> np.ndarray:
-    """States ``psi`` of shape (..., N) advanced by ``t`` from the start of ``cycle``.
+def _pair_blocks(
+    spec: SystemSpec, cycles: Sequence[PulseCycle], offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coupled pairs and their 2x2 blocks for every cycle at every offset.
 
-    Level n gets exp(-i E_n t_pulse), t_pulse = min(t, tau); the pair (lo, hi)
-    then gets the exact Rabi rotation with the pair's mean-energy phase, and
-    free flight adds exp(-i E_n (t - tau)) once t > tau.  O(N) per state; no
-    N x N array and no BLAS call.
+    ``offsets[j, k]`` is a time since the start of cycle j.  Returns the
+    pairs' lower and upper level indices, each of shape (C,), and the
+    blocks, of shape ``offsets.shape + (2, 2)`` in the (lo, hi) basis: the
+    exact Rabi rotation for t_pulse = min(t, tau) with the pair's
+    mean-energy phase, higher level as +z, and then free flight's phase
+    exp(-i E (t - tau)) on each row once t > tau.
     """
     energies = np.asarray(spec.energies)
-    t_pulse = min(t, cycle.tau)
-    out = psi * np.exp(-1j * energies * t_pulse)
-
-    lo, hi = spec.coupled_levels(cycle.m)
-    p = block_params(spec, cycle.m, cycle.d)
-    c, s = math.cos(p.rabi * t_pulse), math.sin(p.rabi * t_pulse)
-    # 2x2 block in the (lo, hi) basis, higher level as +z
-    tilt = 1j * s * (0.5 * p.gap) / p.rabi
-    flip = -1j * s * cycle.d / p.rabi
-    phase = cmath.exp(-1j * p.mean_energy * t_pulse)
-    a, b = psi.take(lo, axis=-1), psi.take(hi, axis=-1)  # scalars, not 0-d arrays
-    out[..., lo] = phase * ((c + tilt) * a + flip * b)
-    out[..., hi] = phase * (flip * a + (c - tilt) * b)
-    if t > cycle.tau:
-        out *= np.exp(-1j * energies * (t - cycle.tau))
-    return out
+    lo, hi = np.array([spec.coupled_levels(c.m) for c in cycles]).T
+    d = np.array([c.d for c in cycles])[:, None]
+    tau = np.array([c.tau for c in cycles])[:, None]
+    e_lo, e_hi = energies[lo, None], energies[hi, None]
+    gap = e_hi - e_lo
+    rabi = np.hypot(0.5 * gap, d)
+    t_pulse = np.minimum(offsets, tau)
+    t_free = offsets - t_pulse
+    c, s = np.cos(rabi * t_pulse), np.sin(rabi * t_pulse)
+    tilt = 1j * s * (0.5 * gap / rabi)
+    flip = -1j * s * (d / rabi)
+    # a product of phases, not the phase of a summed argument: at large
+    # energies that sum would add one rounding of a large angle
+    pulse_phase = np.exp(-0.5j * (e_lo + e_hi) * t_pulse)
+    w_lo = pulse_phase * np.exp(-1j * e_lo * t_free)
+    w_hi = pulse_phase * np.exp(-1j * e_hi * t_free)
+    blocks = np.empty(offsets.shape + (2, 2), dtype=complex)
+    blocks[..., 0, 0] = w_lo * (c + tilt)
+    blocks[..., 0, 1] = w_lo * flip
+    blocks[..., 1, 0] = w_hi * flip
+    blocks[..., 1, 1] = w_hi * (c - tilt)
+    return lo, hi, blocks
 
 
 def simulate(
@@ -152,29 +173,54 @@ def simulate(
 
     ``samples_per_segment`` intermediate states are recorded uniformly
     within each cycle, plus each cycle's endpoint and the initial state.
-    Samples and endpoint each take one kernel call from the state at the
-    cycle's start.  Where zero-duration segments repeat a time, the
-    trajectory keeps the last state at that time.
+    All of them are rows of one preallocated (T, N) table: the spectator
+    phases exp(-i E_n t) are filled in place, each cycle's rows are scaled
+    by the state at its start, and the pair's two columns are overwritten
+    from blocks computed for every cycle and offset at once.  Where
+    zero-duration segments repeat a time, the trajectory keeps the last
+    state at that time.
     """
     if samples_per_segment < 0:
         raise ValueError(f"samples_per_segment must be >= 0, got {samples_per_segment}")
     spec = schedule.spec
     n = spec.n_levels
+    per = samples_per_segment + 1
+    cycles = schedule.cycles
     psi = ground_state(n) if initial is None else validate_state(initial, n)
-    times = [0.0]
-    states = [psi.copy()]
-    t0 = 0.0
-    for cycle in schedule.cycles:
-        duration = cycle.tau + cycle.tau_free
-        for k in range(1, samples_per_segment + 1):
-            offset = duration * k / (samples_per_segment + 1)
-            times.append(t0 + offset)
-            states.append(_advance(spec, cycle, psi, offset))
-        psi = _advance(spec, cycle, psi, duration)
-        t0 += duration
-        times.append(t0)
-        states.append(psi.copy())
+
+    # finite fields can still give a phase angle beyond the float range;
+    # that yields a NaN state, which is reported below instead of returned
+    with np.errstate(over="ignore", invalid="ignore"):
+        duration = np.array([c.tau + c.tau_free for c in cycles])
+        offsets = np.empty((n - 1, per))
+        # element-wise as duration * k / (S+1), and exactly duration at the endpoint
+        np.divide(duration[:, None] * np.arange(1, per), per, out=offsets[:, :-1])
+        offsets[:, -1] = duration
+        starts = np.zeros(n)
+        np.add.accumulate(duration, out=starts[1:])  # sequential, like a running sum
+        times = np.empty(1 + (n - 1) * per)
+        times[0] = 0.0
+        np.add(starts[:-1, None], offsets, out=times[1:].reshape(n - 1, per))
+
+        lo, hi, blocks = _pair_blocks(spec, cycles, offsets)
+        table = np.empty((times.size, n), dtype=complex)
+        table[0] = psi
+        body = table[1:].reshape(n - 1, per, n)
+        body.real = 0.0
+        np.multiply(offsets[..., None], -np.asarray(spec.energies), out=body.imag)
+        np.exp(body, out=body)
+        for rows, block, l, h in zip(body, blocks, lo.tolist(), hi.tolist()):
+            rows *= psi
+            pair = slice(l, h + 1, h - l)  # exactly the columns lo and hi
+            np.matmul(block, psi[pair], out=rows[:, pair])
+            psi = rows[-1]
+    if not np.isfinite(psi).all():
+        raise ControlError("schedule overflows the float range in a phase angle")
+
     # zero-duration segments repeat a time; keep the last state at each time
-    keep = [a < b for a, b in zip(times, times[1:])] + [True]
-    traj = Trajectory(tuple(compress(times, keep)), tuple(compress(states, keep)))
-    return psi, traj
+    keep = np.append(times[:-1] < times[1:], True)
+    if not keep.all():
+        times, table = times[keep], table[keep]
+    times.flags.writeable = False
+    table.flags.writeable = False
+    return psi.copy(), Trajectory(times, table)

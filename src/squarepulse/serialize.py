@@ -8,6 +8,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any, Sequence
 
 import numpy as np
@@ -63,8 +64,11 @@ def load_json(path: str) -> dict:
 
 
 def _is_number(x: Any) -> bool:
-    # JSON true/false load as bool, which is a subclass of int
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # JSON true/false load as bool, which is a subclass of int; a JSON
+    # integer beyond the float range would overflow when converted
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return isinstance(x, float) or abs(x) <= sys.float_info.max
 
 
 def energies_from_dict(doc: dict) -> list:
@@ -72,6 +76,13 @@ def energies_from_dict(doc: dict) -> list:
     if not isinstance(energies, list) or not all(_is_number(e) for e in energies):
         raise InputError("field 'energies' must be a list of numbers")
     return energies
+
+
+def _tolerance_from_dict(doc: dict) -> float:
+    tol = doc.get("tolerance", DEFAULT_TOLERANCE)
+    if not (_is_number(tol) and 0 < tol < np.inf):
+        raise InputError("field 'tolerance' must be a positive finite number")
+    return float(tol)
 
 
 def spec_from_dict(doc: dict) -> SystemSpec:
@@ -82,11 +93,9 @@ def spec_from_dict(doc: dict) -> SystemSpec:
     except ValueError:
         choices = ", ".join(k.value for k in SystemKind)
         raise InputError(f"field 'kind' must be one of: {choices}") from None
-    tol = doc.get("tolerance", DEFAULT_TOLERANCE)
-    if not (_is_number(tol) and 0 < tol < np.inf):
-        raise InputError("field 'tolerance' must be a positive finite number")
+    tol = _tolerance_from_dict(doc)
     try:
-        return validate_spectrum(energies, kind, float(tol))
+        return validate_spectrum(energies, kind, tol)
     except ControlError as exc:
         raise InputError(f"field 'energies': {exc}") from exc
 
@@ -108,23 +117,29 @@ def state_to_dict(state: np.ndarray) -> dict:
     return {"amplitudes": [[float(a.real), float(a.imag)] for a in state]}
 
 
+def _cycle_field(c: dict, field: str, path: str) -> float:
+    x = _require(c, field, path)
+    if field == "m":
+        if _is_number(x) and (isinstance(x, int) or x.is_integer()):
+            return int(x)
+        raise InputError(f"field '{path}m' must be an integer")
+    if _is_number(x):
+        return float(x)
+    raise InputError(f"field '{path}{field}' must be a number")
+
+
 def schedule_from_dict(doc: dict, spec: SystemSpec) -> PulseSchedule:
     cycles_doc = _require(doc, "cycles", "")
     if not isinstance(cycles_doc, list):
         raise InputError("field 'cycles' must be a list")
     cycles = []
     for i, c in enumerate(cycles_doc):
+        path = f"cycles[{i}]."
         if not isinstance(c, dict):
             raise InputError(f"field 'cycles[{i}]' must be an object")
+        fields = [_cycle_field(c, f, path) for f in ("m", "d", "tau", "tau_free")]
         try:
-            cycles.append(
-                PulseCycle(
-                    m=int(_require(c, "m", f"cycles[{i}].")),
-                    d=float(_require(c, "d", f"cycles[{i}].")),
-                    tau=float(_require(c, "tau", f"cycles[{i}].")),
-                    tau_free=float(_require(c, "tau_free", f"cycles[{i}].")),
-                )
-            )
+            cycles.append(PulseCycle(*fields))
         except ControlError as exc:
             raise InputError(f"field 'cycles[{i}]': {exc}") from exc
     try:

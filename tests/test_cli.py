@@ -233,6 +233,9 @@ def test_float_serialization_round_trips():
         ("tolerance", {**SPEC_II3, "tolerance": True}),
         ("tolerance", {**SPEC_II3, "tolerance": float("nan")}),
         ("tolerance", {**SPEC_II3, "tolerance": float("inf")}),
+        # JSON integers beyond the float range
+        ("energies", {"energies": [0.0, 1.0, 10**400], "kind": "nearest_neighbor"}),
+        ("tolerance", {**SPEC_II3, "tolerance": 10**400}),
     ],
 )
 def test_spec_rejects_booleans_and_non_finite_numbers(tmp_path, capsys, field, doc):
@@ -247,7 +250,9 @@ def test_spec_rejects_booleans_and_non_finite_numbers(tmp_path, capsys, field, d
     assert f"error: field '{field}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("pair", [[float("nan"), 0.0], [True, 0.0], ["1", 0.0]])
+@pytest.mark.parametrize(
+    "pair", [[float("nan"), 0.0], [True, 0.0], ["1", 0.0], [10**400, 0.0]]
+)
 def test_synth_rejects_bad_target_amplitude(tmp_path, capsys, pair):
     spec = write(tmp_path, "spec.json", SPEC_II3)
     target = write(
@@ -344,3 +349,65 @@ def test_help_exits_ok(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: squarepulse")
+
+
+@pytest.mark.parametrize(
+    "cycle, field",
+    [
+        ({"tau": float("inf")}, "cycles[0]"),
+        ({"tau_free": float("inf")}, "cycles[0]"),
+        ({"d": float("inf")}, "cycles[0]"),
+        ({"d": "x"}, "cycles[0].d"),
+        ({"tau": None}, "cycles[0].tau"),
+        ({"tau_free": True}, "cycles[0].tau_free"),
+        ({"d": 10**400}, "cycles[0].d"),
+        ({"m": 1.5}, "cycles[0].m"),
+        ({"m": "1"}, "cycles[0].m"),
+        ({"m": True}, "cycles[0].m"),
+    ],
+)
+def test_simulate_rejects_bad_cycle_fields(tmp_path, capsys, cycle, field):
+    spec = write(tmp_path, "spec.json", SPEC_II3)
+    good = {"m": 1, "d": 1.0, "tau": 0.1, "tau_free": 0.1}
+    sched = write(tmp_path, "sched.json", {"cycles": [{**good, **cycle}, {**good, "m": 2}]})
+    assert main(["simulate", "--spec", spec, "--schedule", sched]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: field '{field}'" in captured.err
+
+
+def test_simulate_rejects_overflowing_schedule(tmp_path, capsys):
+    spec = write(tmp_path, "spec.json", SPEC_II3)
+    good = {"m": 1, "d": 1.0, "tau": 0.1, "tau_free": 0.1}
+    doc = {"cycles": [{**good, "d": 1e300, "tau": 1e10}, {**good, "m": 2}]}
+    assert main(["simulate", "--spec", spec, "--schedule", write(tmp_path, "s.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: schedule overflows" in captured.err
+
+
+def test_simulate_accepts_an_integral_float_index(tmp_path, capsys):
+    spec = write(tmp_path, "spec.json", SPEC_II3)
+    good = {"m": 1, "d": 1.0, "tau": 0.1, "tau_free": 0.1}
+    outputs = []
+    for m in (1, 1.0):
+        sched = write(tmp_path, "sched.json", {"cycles": [{**good, "m": m}, {**good, "m": 2}]})
+        assert main(["simulate", "--spec", spec, "--schedule", sched]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_classify_uses_the_spec_tolerance(tmp_path, capsys):
+    # at 0.01 the gaps 1.0 and 1.001 count as equal, which neither kind allows
+    doc = {"energies": [0.0, 1.0, 2.001], "kind": "nearest_neighbor"}
+    assert main(["classify", "--spec", write(tmp_path, "a.json", doc)]) == 0
+    assert capsys.readouterr().out.strip() == "both"
+    spec = write(tmp_path, "b.json", {**doc, "tolerance": 0.01})
+    assert main(["classify", "--spec", spec]) == 0
+    assert capsys.readouterr().out.strip() == "neither"
+    for tol in (True, 0.0, float("nan")):
+        spec = write(tmp_path, "c.json", {**doc, "tolerance": tol})
+        assert main(["classify", "--spec", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: field 'tolerance'" in captured.err

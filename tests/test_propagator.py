@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from squarepulse import (
 )
 from squarepulse import propagator
 from squarepulse.errors import (
+    ControlError,
     DimensionMismatch,
     NegativeDuration,
     NonPositiveField,
@@ -191,10 +194,11 @@ def test_schedule_validation():
         PulseSchedule(spec, (PulseCycle(2, 1.0, 0.1, 0.1), PulseCycle(1, 1.0, 0.1, 0.1)))
     with pytest.raises(NegativeDuration):
         PulseCycle(1, 1.0, -0.1, 0.0)
-    nan = float("nan")
-    with pytest.raises(NonPositiveField):
-        PulseCycle(1, nan, 0.1, 0.0)
-    for tau, tau_free in ((nan, 0.0), (0.1, nan)):
+    nan, inf = float("nan"), float("inf")
+    for d in (nan, inf):
+        with pytest.raises(NonPositiveField):
+            PulseCycle(1, d, 0.1, 0.0)
+    for tau, tau_free in ((nan, 0.0), (0.1, nan), (inf, 0.0), (0.1, inf)):
         with pytest.raises(NegativeDuration):
             PulseCycle(1, 1.0, tau, tau_free)
 
@@ -307,6 +311,17 @@ def test_trajectory_keeps_last_state_when_a_pulse_rounds_away():
     assert np.max(np.abs(traj.states[-1] - final)) == 0
 
 
+@pytest.mark.parametrize(
+    "d, tau, tau_free",
+    [(1e300, 1e10, 0.0), (1.0, 1e308, 1e308), (1.0, 0.1, 1e308)],
+)
+def test_simulate_rejects_overflowing_phase_angles(d, tau, tau_free):
+    # each field is finite, but Omega * tau, tau + tau_free or E * t is not
+    sched = make_schedule(gap_to_ground_spec(3), [(d, tau, tau_free), (1.0, 0.1, 0.1)])
+    with pytest.raises(ControlError, match="overflows"):
+        simulate(sched, samples_per_segment=2)
+
+
 def test_simulate_rejects_negative_samples():
     sched = make_schedule(gap_to_ground_spec(3), [(1.0, 0.1, 0.1)] * 2)
     with pytest.raises(ValueError, match="samples_per_segment"):
@@ -326,3 +341,19 @@ def test_simulate_and_synthesize_build_no_dense_propagator(monkeypatch, rng):
         final, traj = simulate(report.schedule, samples_per_segment=4)
         assert np.max(np.abs(final - report.simulated)) <= 1e-12
         assert len(traj.times) == 1 + 5 * 5
+
+
+def test_simulate_peak_memory_is_the_trajectory():
+    # the table is filled in place; an out-of-place phase build would double the peak
+    n = 1000
+    rng = np.random.default_rng(1000)
+    params = [(rng.uniform(1, 30), rng.uniform(0, 0.2), rng.uniform(0, 1)) for _ in range(n - 1)]
+    sched = make_schedule(nearest_neighbor_spec(n), params)
+    tracemalloc.start()
+    try:
+        _, traj = simulate(sched)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.states.shape == (n, n)
+    assert peak <= 1.1 * traj.states.nbytes
